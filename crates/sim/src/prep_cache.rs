@@ -20,10 +20,21 @@
 //!   cannot change results.
 //!
 //! Cached and uncached runs therefore produce byte-identical scientific
-//! payloads; only wall-clock differs. The cache is on by default; disable
-//! it with `SIPT_PREP_CACHE=0` or the figure binaries' `--no-prep-cache`
-//! flag (see [`set_enabled`]). Hit/miss counters feed the report's
-//! `parallelism.prep_cache` block (schema v4).
+//! payloads; only wall-clock differs.
+//!
+//! A cache is a [`PrepCache`] value. The free functions
+//! ([`get_or_prepare`], [`stats`], [`set_enabled`], ...) act on one
+//! process-wide instance, built on first use: it holds at most
+//! `SIPT_PREP_CACHE_CAP` single-core entries (default 64) and is on
+//! unless `SIPT_PREP_CACHE=0` or the figure binaries' `--no-prep-cache`
+//! flag turns it off (see [`set_enabled`]). Its hit/miss counters feed
+//! the report's `parallelism.prep_cache` block (schema v4). Code that
+//! needs accounting nobody else touches, such as this module's unit
+//! tests, builds its own instance with [`PrepCache::with_capacity`].
+//!
+//! The capacity bounds single-core entries only, evicting the oldest
+//! first. Quad-core mixes are cached as units and never evicted, yet
+//! [`PrepCacheStats::entries`] counts both kinds.
 //!
 //! Concurrency: the map lock is held only to look up or insert a per-key
 //! cell; preparation itself runs under the cell's own mutex, so workers
@@ -41,7 +52,7 @@ use sipt_telemetry::Span;
 use sipt_workloads::{MaterializedTrace, WorkloadSpec};
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A fully prepared, immutable, replayable workload: the address space
@@ -94,51 +105,201 @@ struct CacheState {
     order: VecDeque<u64>,
 }
 
-static CACHE: Mutex<Option<CacheState>> = Mutex::new(None);
-static MIX_CACHE: Mutex<Option<HashMap<u64, MixCell>>> = Mutex::new(None);
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
+/// Resident single-core entries of the process-wide cache when
+/// `SIPT_PREP_CACHE_CAP` is unset.
+const DEFAULT_CAPACITY: usize = 64;
 
-/// Runtime enable state: 0 = follow `SIPT_PREP_CACHE`, 1 = forced on,
-/// 2 = forced off (the `--no-prep-cache` flag).
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// One preparation cache with its own entries, counters and enable
+/// switch. The module's free functions act on a process-wide instance.
+pub struct PrepCache {
+    singles: Mutex<CacheState>,
+    /// Mixes are cached as units and never evicted.
+    mixes: Mutex<HashMap<u64, MixCell>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    /// Maximum number of resident *single-core* entries before FIFO
+    /// eviction (in-flight users keep their `Arc`s, so eviction never
+    /// affects running tasks).
+    capacity: usize,
+    enabled: AtomicBool,
+}
 
-/// Maximum number of live cache entries before FIFO eviction (in-flight
-/// users keep their `Arc`s, so eviction never affects running tasks).
-fn capacity() -> usize {
-    static PARSED: OnceLock<usize> = OnceLock::new();
-    *PARSED.get_or_init(|| match crate::env::parse_or_warn("SIPT_PREP_CACHE_CAP") {
-        Some(0) => {
-            eprintln!("warning: SIPT_PREP_CACHE_CAP=0 is not a usable capacity; using 64");
-            64
+impl PrepCache {
+    /// An empty, enabled cache holding at most `capacity` single-core
+    /// entries.
+    pub fn with_capacity(capacity: usize) -> Self {
+        PrepCache {
+            singles: Mutex::new(CacheState::default()),
+            mixes: Mutex::new(HashMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            capacity,
+            enabled: AtomicBool::new(true),
         }
-        Some(n) => n.min(usize::MAX as u64) as usize,
-        None => 64,
-    })
-}
-
-fn env_default() -> bool {
-    static PARSED: OnceLock<bool> = OnceLock::new();
-    *PARSED.get_or_init(|| match std::env::var("SIPT_PREP_CACHE") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
-    })
-}
-
-/// Force the cache on or off for the rest of the process, overriding
-/// `SIPT_PREP_CACHE`. The figure binaries' `--no-prep-cache` flag calls
-/// `set_enabled(false)`.
-pub fn set_enabled(on: bool) {
-    OVERRIDE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Whether the cache is currently consulted.
-pub fn enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => env_default(),
     }
+
+    /// Turn this cache on or off. While off, lookups prepare fresh and
+    /// count nothing.
+    pub fn set_enabled(&self, on: bool) {
+        self.enabled.store(on, Ordering::Relaxed);
+    }
+
+    /// Whether lookups currently consult this cache.
+    pub fn enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
+    }
+
+    /// The prepared workload for `(spec, cond)`; see the free
+    /// [`get_or_prepare`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates (and caches) the preparation's [`SimError`].
+    pub fn get_or_prepare(&self, spec: &WorkloadSpec, cond: &Condition) -> CacheResult {
+        let mut span = Span::enter(format!("prep {}", spec.name), "prep_cache");
+        if !self.enabled() {
+            span.arg("outcome", Json::str("bypass"));
+            return prepare_fresh(spec, cond);
+        }
+        let key = fingerprint(spec, cond);
+        let cell = {
+            let mut state = self.singles.lock().unwrap_or_else(PoisonError::into_inner);
+            match state.map.get(&key) {
+                Some(cell) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    span.arg("outcome", Json::str("hit"));
+                    Arc::clone(cell)
+                }
+                None => {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    span.arg("outcome", Json::str("miss"));
+                    let cell: Cell = Arc::new(Mutex::new(None));
+                    state.map.insert(key, Arc::clone(&cell));
+                    state.order.push_back(key);
+                    while state.map.len() > self.capacity {
+                        if let Some(old) = state.order.pop_front() {
+                            state.map.remove(&old);
+                        }
+                    }
+                    cell
+                }
+            }
+        };
+        // Prepare (or wait for the preparing worker) under the cell's own
+        // lock. A poisoned cell means a previous claimant panicked before
+        // publishing a result; recover the guard and retry the preparation.
+        let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(result) = slot.as_ref() {
+            return result.clone();
+        }
+        let result = prepare_fresh(spec, cond);
+        *slot = Some(result.clone());
+        result
+    }
+
+    /// The prepared state of a whole mix; see the free
+    /// [`get_or_prepare_mix`].
+    pub(crate) fn get_or_prepare_mix(
+        &self,
+        mix_name: &str,
+        cond: &Condition,
+        prepare: impl FnOnce() -> Arc<PreparedMix>,
+    ) -> Arc<PreparedMix> {
+        if !self.enabled() {
+            return prepare();
+        }
+        let key = fnv1a64(format!("mix|{mix_name}|{cond:?}").as_bytes());
+        let cell = {
+            let mut map = self.mixes.lock().unwrap_or_else(PoisonError::into_inner);
+            match map.get(&key) {
+                Some(cell) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    Arc::clone(cell)
+                }
+                None => {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    let cell: MixCell = Arc::new(Mutex::new(None));
+                    map.insert(key, Arc::clone(&cell));
+                    cell
+                }
+            }
+        };
+        let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(mix) = slot.as_ref() {
+            return Arc::clone(mix);
+        }
+        let mix = prepare();
+        *slot = Some(Arc::clone(&mix));
+        mix
+    }
+
+    /// Snapshot this cache's counters. `entries` counts single-core *and*
+    /// mix entries.
+    pub fn stats(&self) -> PrepCacheStats {
+        let singles = self.singles.lock().unwrap_or_else(PoisonError::into_inner).map.len();
+        let mixes = self.mixes.lock().unwrap_or_else(PoisonError::into_inner).len();
+        PrepCacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: singles + mixes,
+            enabled: self.enabled(),
+        }
+    }
+
+    /// This cache's counters as the report's `prep_cache` object.
+    pub fn stats_json(&self) -> Json {
+        let s = self.stats();
+        Json::obj([
+            ("enabled", Json::Bool(s.enabled)),
+            ("hits", Json::u64(s.hits)),
+            ("misses", Json::u64(s.misses)),
+            ("entries", Json::u64(s.entries as u64)),
+        ])
+    }
+
+    /// Drop all entries and zero the counters. The enable switch is kept.
+    pub fn clear(&self) {
+        *self.singles.lock().unwrap_or_else(PoisonError::into_inner) = CacheState::default();
+        self.mixes.lock().unwrap_or_else(PoisonError::into_inner).clear();
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
+    }
+}
+
+/// The process-wide instance behind the free functions, built on first
+/// use: its capacity comes from `SIPT_PREP_CACHE_CAP` (default 64) and it
+/// starts enabled unless `SIPT_PREP_CACHE` is `0`/`false`/`off`/`no`.
+fn global() -> &'static PrepCache {
+    static GLOBAL: OnceLock<PrepCache> = OnceLock::new();
+    GLOBAL.get_or_init(|| {
+        let capacity = match crate::env::parse_or_warn("SIPT_PREP_CACHE_CAP") {
+            Some(0) => {
+                eprintln!(
+                    "warning: SIPT_PREP_CACHE_CAP=0 is not a usable capacity; using {DEFAULT_CAPACITY}"
+                );
+                DEFAULT_CAPACITY
+            }
+            Some(n) => n.min(usize::MAX as u64) as usize,
+            None => DEFAULT_CAPACITY,
+        };
+        let cache = PrepCache::with_capacity(capacity);
+        if let Ok(v) = std::env::var("SIPT_PREP_CACHE") {
+            cache.set_enabled(!matches!(v.trim(), "0" | "false" | "off" | "no"));
+        }
+        cache
+    })
+}
+
+/// Force the process-wide cache on or off for the rest of the process,
+/// overriding `SIPT_PREP_CACHE`. The figure binaries' `--no-prep-cache`
+/// flag calls `set_enabled(false)`.
+pub fn set_enabled(on: bool) {
+    global().set_enabled(on);
+}
+
+/// Whether the process-wide cache is currently consulted.
+pub fn enabled() -> bool {
+    global().enabled()
 }
 
 /// Content fingerprint of a `(spec, cond)` pair — FNV-1a over the full
@@ -152,9 +313,9 @@ fn prepare_fresh(spec: &WorkloadSpec, cond: &Condition) -> CacheResult {
     Ok(Arc::new(PreparedWorkload { asp: Arc::new(asp), trace: MaterializedTrace::from_gen(trace) }))
 }
 
-/// The prepared workload for `(spec, cond)`: cached when the cache is
-/// enabled, freshly prepared otherwise. Either way the returned state is
-/// bit-identical — the cache changes wall-clock only.
+/// The prepared workload for `(spec, cond)`: cached when the process-wide
+/// cache is enabled, freshly prepared otherwise. Either way the returned
+/// state is bit-identical — the cache changes wall-clock only.
 ///
 /// # Errors
 ///
@@ -163,51 +324,12 @@ fn prepare_fresh(spec: &WorkloadSpec, cond: &Condition) -> CacheResult {
 /// impossible workload reports the same error without re-failing the
 /// expensive preparation.
 pub fn get_or_prepare(spec: &WorkloadSpec, cond: &Condition) -> CacheResult {
-    let mut span = Span::enter(format!("prep {}", spec.name), "prep_cache");
-    if !enabled() {
-        span.arg("outcome", Json::str("bypass"));
-        return prepare_fresh(spec, cond);
-    }
-    let key = fingerprint(spec, cond);
-    let cell = {
-        let mut guard = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
-        let state = guard.get_or_insert_with(CacheState::default);
-        match state.map.get(&key) {
-            Some(cell) => {
-                HITS.fetch_add(1, Ordering::Relaxed);
-                span.arg("outcome", Json::str("hit"));
-                Arc::clone(cell)
-            }
-            None => {
-                MISSES.fetch_add(1, Ordering::Relaxed);
-                span.arg("outcome", Json::str("miss"));
-                let cell: Cell = Arc::new(Mutex::new(None));
-                state.map.insert(key, Arc::clone(&cell));
-                state.order.push_back(key);
-                while state.map.len() > capacity() {
-                    if let Some(old) = state.order.pop_front() {
-                        state.map.remove(&old);
-                    }
-                }
-                cell
-            }
-        }
-    };
-    // Prepare (or wait for the preparing worker) under the cell's own
-    // lock. A poisoned cell means a previous claimant panicked before
-    // publishing a result; recover the guard and retry the preparation.
-    let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(result) = slot.as_ref() {
-        return result.clone();
-    }
-    let result = prepare_fresh(spec, cond);
-    *slot = Some(result.clone());
-    result
+    global().get_or_prepare(spec, cond)
 }
 
-/// The prepared state of a whole mix, cached under
-/// `(mix_name, cond)`; `prepare` runs only on a miss (or whenever the
-/// cache is disabled). Used by [`crate::multicore::run_mix`].
+/// The prepared state of a whole mix, cached in the process-wide cache
+/// under `(mix_name, cond)`; `prepare` runs only on a miss (or whenever
+/// the cache is disabled). Used by [`crate::multicore::run_mix`].
 ///
 /// The closure-based shape keeps mix preparation (shared buddy
 /// allocator, per-process traces) in the multicore module while the
@@ -218,33 +340,7 @@ pub(crate) fn get_or_prepare_mix(
     cond: &Condition,
     prepare: impl FnOnce() -> Arc<PreparedMix>,
 ) -> Arc<PreparedMix> {
-    if !enabled() {
-        return prepare();
-    }
-    let key = fnv1a64(format!("mix|{mix_name}|{cond:?}").as_bytes());
-    let cell = {
-        let mut guard = MIX_CACHE.lock().unwrap_or_else(PoisonError::into_inner);
-        let map = guard.get_or_insert_with(HashMap::new);
-        match map.get(&key) {
-            Some(cell) => {
-                HITS.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(cell)
-            }
-            None => {
-                MISSES.fetch_add(1, Ordering::Relaxed);
-                let cell: MixCell = Arc::new(Mutex::new(None));
-                map.insert(key, Arc::clone(&cell));
-                cell
-            }
-        }
-    };
-    let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(mix) = slot.as_ref() {
-        return Arc::clone(mix);
-    }
-    let mix = prepare();
-    *slot = Some(Arc::clone(&mix));
-    mix
+    global().get_or_prepare_mix(mix_name, cond, prepare)
 }
 
 /// Counter snapshot for reports and tests.
@@ -255,46 +351,28 @@ pub struct PrepCacheStats {
     pub hits: u64,
     /// Lookups that created a new entry (distinct workloads prepared).
     pub misses: u64,
-    /// Entries currently resident.
+    /// Entries currently resident, single-core and mix together.
     pub entries: usize,
     /// Whether lookups currently consult the cache.
     pub enabled: bool,
 }
 
-/// Snapshot the cache counters. `entries` counts single-core *and* mix
-/// entries.
+/// Snapshot the process-wide cache's counters. `entries` counts
+/// single-core *and* mix entries.
 pub fn stats() -> PrepCacheStats {
-    let singles =
-        CACHE.lock().unwrap_or_else(PoisonError::into_inner).as_ref().map_or(0, |s| s.map.len());
-    let mixes =
-        MIX_CACHE.lock().unwrap_or_else(PoisonError::into_inner).as_ref().map_or(0, HashMap::len);
-    PrepCacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        entries: singles + mixes,
-        enabled: enabled(),
-    }
+    global().stats()
 }
 
 /// The `prep_cache` object of the report's `parallelism` block
-/// (schema v4).
+/// (schema v4), from the process-wide cache.
 pub fn stats_json() -> Json {
-    let s = stats();
-    Json::obj([
-        ("enabled", Json::Bool(s.enabled)),
-        ("hits", Json::u64(s.hits)),
-        ("misses", Json::u64(s.misses)),
-        ("entries", Json::u64(s.entries as u64)),
-    ])
+    global().stats_json()
 }
 
-/// Drop all entries and zero the counters (tests and long-lived drivers
-/// that want isolated accounting).
+/// Drop all entries of the process-wide cache and zero its counters
+/// (integration tests and long-lived drivers that want fresh accounting).
 pub fn clear() {
-    *CACHE.lock().unwrap_or_else(PoisonError::into_inner) = None;
-    *MIX_CACHE.lock().unwrap_or_else(PoisonError::into_inner) = None;
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
+    global().clear();
 }
 
 #[cfg(test)]
@@ -302,129 +380,113 @@ mod tests {
     use super::*;
     use sipt_workloads::benchmark;
 
-    /// The whole suite shares one process, so these tests serialize on a
-    /// lock and restore the default state afterwards.
-    fn with_clean_cache<R>(f: impl FnOnce() -> R) -> R {
-        static GATE: Mutex<()> = Mutex::new(());
-        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        clear();
-        set_enabled(true);
-        let out = f();
-        clear();
-        OVERRIDE.store(0, Ordering::Relaxed);
-        out
-    }
+    // Every test asserts on a cache of its own: the process-wide instance
+    // is shared with the runner, sweep and multicore tests running
+    // beside these in the same binary, whose lookups would land in its
+    // counters.
 
     #[test]
     fn second_lookup_hits_and_shares_the_arc() {
-        with_clean_cache(|| {
-            let spec = benchmark("sjeng").unwrap();
-            let cond = Condition::quick();
-            let a = get_or_prepare(&spec, &cond).unwrap();
-            let b = get_or_prepare(&spec, &cond).unwrap();
-            assert!(Arc::ptr_eq(&a, &b), "hit must share the prepared state");
-            let s = stats();
-            assert_eq!((s.hits, s.misses), (1, 1));
-            assert_eq!(s.entries, 1);
-        });
+        let cache = PrepCache::with_capacity(64);
+        let spec = benchmark("sjeng").unwrap();
+        let cond = Condition::quick();
+        let a = cache.get_or_prepare(&spec, &cond).unwrap();
+        let b = cache.get_or_prepare(&spec, &cond).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "hit must share the prepared state");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
+        assert_eq!(s.entries, 1);
     }
 
     #[test]
     fn cached_state_is_bit_identical_to_fresh_preparation() {
-        with_clean_cache(|| {
-            let spec = benchmark("mcf").unwrap();
-            let cond = Condition::quick();
-            let cached = get_or_prepare(&spec, &cond).unwrap();
-            let fresh = prepare_fresh(&spec, &cond).unwrap();
-            assert_eq!(cached.trace, fresh.trace);
-            let c: Vec<_> = cached.trace.cursor().collect();
-            let f: Vec<_> = fresh.trace.cursor().collect();
-            assert_eq!(c, f);
-        });
+        let cache = PrepCache::with_capacity(64);
+        let spec = benchmark("mcf").unwrap();
+        let cond = Condition::quick();
+        let cached = cache.get_or_prepare(&spec, &cond).unwrap();
+        let fresh = prepare_fresh(&spec, &cond).unwrap();
+        assert_eq!(cached.trace, fresh.trace);
+        let c: Vec<_> = cached.trace.cursor().collect();
+        let f: Vec<_> = fresh.trace.cursor().collect();
+        assert_eq!(c, f);
     }
 
     #[test]
     fn distinct_conditions_are_distinct_entries() {
-        with_clean_cache(|| {
-            let spec = benchmark("sjeng").unwrap();
-            let a = Condition::quick();
-            let b = Condition { seed: 43, ..a };
-            assert_ne!(fingerprint(&spec, &a), fingerprint(&spec, &b));
-            let _ = get_or_prepare(&spec, &a).unwrap();
-            let _ = get_or_prepare(&spec, &b).unwrap();
-            assert_eq!(stats().misses, 2);
-        });
+        let cache = PrepCache::with_capacity(64);
+        let spec = benchmark("sjeng").unwrap();
+        let a = Condition::quick();
+        let b = Condition { seed: 43, ..a };
+        assert_ne!(fingerprint(&spec, &a), fingerprint(&spec, &b));
+        let _ = cache.get_or_prepare(&spec, &a).unwrap();
+        let _ = cache.get_or_prepare(&spec, &b).unwrap();
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]
     fn disabled_cache_prepares_fresh_and_counts_nothing() {
-        with_clean_cache(|| {
-            set_enabled(false);
-            let spec = benchmark("sjeng").unwrap();
-            let cond = Condition::quick();
-            let a = get_or_prepare(&spec, &cond).unwrap();
-            let b = get_or_prepare(&spec, &cond).unwrap();
-            assert!(!Arc::ptr_eq(&a, &b));
-            let s = stats();
-            assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0));
-            assert!(!s.enabled);
-        });
+        let cache = PrepCache::with_capacity(64);
+        cache.set_enabled(false);
+        let spec = benchmark("sjeng").unwrap();
+        let cond = Condition::quick();
+        let a = cache.get_or_prepare(&spec, &cond).unwrap();
+        let b = cache.get_or_prepare(&spec, &cond).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0));
+        assert!(!s.enabled);
     }
 
     #[test]
     fn failed_preparation_is_cached() {
-        with_clean_cache(|| {
-            let spec = benchmark("mcf").unwrap(); // 1.7 GiB footprint
-            let cond = Condition { memory_bytes: 1 << 20, ..Condition::quick() };
-            let a = get_or_prepare(&spec, &cond).unwrap_err();
-            let b = get_or_prepare(&spec, &cond).unwrap_err();
-            assert_eq!(a, b);
-            let s = stats();
-            assert_eq!((s.hits, s.misses), (1, 1));
-        });
+        let cache = PrepCache::with_capacity(64);
+        let spec = benchmark("mcf").unwrap(); // 1.7 GiB footprint
+        let cond = Condition { memory_bytes: 1 << 20, ..Condition::quick() };
+        let a = cache.get_or_prepare(&spec, &cond).unwrap_err();
+        let b = cache.get_or_prepare(&spec, &cond).unwrap_err();
+        assert_eq!(a, b);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]
     fn concurrent_lookups_prepare_once() {
-        with_clean_cache(|| {
-            let spec = benchmark("gcc").unwrap();
-            let cond = Condition::quick();
-            let prepared: Vec<_> = std::thread::scope(|scope| {
-                let handles: Vec<_> =
-                    (0..8).map(|_| scope.spawn(|| get_or_prepare(&spec, &cond).unwrap())).collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            for p in &prepared[1..] {
-                assert!(Arc::ptr_eq(&prepared[0], p));
-            }
-            let s = stats();
-            assert_eq!(s.misses, 1, "one preparation for eight workers");
-            assert_eq!(s.hits, 7);
+        let cache = PrepCache::with_capacity(64);
+        let spec = benchmark("gcc").unwrap();
+        let cond = Condition::quick();
+        let prepared: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| scope.spawn(|| cache.get_or_prepare(&spec, &cond).unwrap()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
+        for p in &prepared[1..] {
+            assert!(Arc::ptr_eq(&prepared[0], p));
+        }
+        let s = cache.stats();
+        assert_eq!(s.misses, 1, "one preparation for eight workers");
+        assert_eq!(s.hits, 7);
     }
 
     #[test]
     fn fifo_eviction_bounds_entries() {
-        with_clean_cache(|| {
-            // Capacity is process-wide (default 64): insert 65 distinct
-            // keys and watch the count stay bounded.
-            let spec = benchmark("sjeng").unwrap();
-            for seed in 0..65u64 {
-                let cond = Condition { seed, instructions: 50, warmup: 10, ..Condition::quick() };
-                let _ = get_or_prepare(&spec, &cond).unwrap();
-            }
-            assert!(stats().entries <= 64, "entries = {}", stats().entries);
-            assert_eq!(stats().misses, 65);
-        });
+        // Insert 65 distinct keys into a cache of capacity 64 and watch
+        // the count stay bounded.
+        let cache = PrepCache::with_capacity(64);
+        let spec = benchmark("sjeng").unwrap();
+        for seed in 0..65u64 {
+            let cond = Condition { seed, instructions: 50, warmup: 10, ..Condition::quick() };
+            let _ = cache.get_or_prepare(&spec, &cond).unwrap();
+        }
+        assert!(cache.stats().entries <= 64, "entries = {}", cache.stats().entries);
+        assert_eq!(cache.stats().misses, 65);
     }
 
     #[test]
     fn stats_json_shape() {
-        with_clean_cache(|| {
-            let rendered = stats_json().render();
-            for field in ["\"enabled\"", "\"hits\"", "\"misses\"", "\"entries\""] {
-                assert!(rendered.contains(field), "{rendered}");
-            }
-        });
+        let rendered = stats_json().render();
+        for field in ["\"enabled\"", "\"hits\"", "\"misses\"", "\"entries\""] {
+            assert!(rendered.contains(field), "{rendered}");
+        }
     }
 }
