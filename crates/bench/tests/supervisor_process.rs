@@ -136,6 +136,39 @@ fn process_isolation_payload_is_byte_identical_to_thread() {
     let _ = std::fs::remove_dir_all(&thread_dir);
 }
 
+/// Preparation-cache lookups happen inside the workers under process
+/// isolation; each worker reports its shard's hits and misses, so the
+/// parent's `parallelism.prep_cache` block counts as many lookups as a
+/// thread-mode run of the same sweep. (The hit/miss split differs: each
+/// worker process has a cache of its own.)
+#[test]
+fn process_mode_report_counts_worker_prep_cache_lookups() {
+    let lookups = |report: &Json| -> f64 {
+        let field = |name: &str| {
+            report
+                .path(&format!("parallelism.prep_cache.{name}"))
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("parallelism.prep_cache.{name} present"))
+        };
+        field("hits") + field("misses")
+    };
+    let thread_dir = temp_results_dir("prep-thread");
+    let thread = run_fig02(&thread_dir, &[], &["--jobs", "2", "--isolation", "thread"]);
+    assert!(thread.status.success(), "thread run passes: {thread:?}");
+    let process_dir = temp_results_dir("prep-process");
+    let process = run_fig02(&process_dir, &[], &["--jobs", "2", "--isolation", "process"]);
+    assert!(process.status.success(), "process run passes: {process:?}");
+
+    let want = lookups(&read_report(&thread_dir));
+    assert!(want > 0.0, "a cached thread-mode fig02 run looks workloads up");
+    let report = read_report(&process_dir);
+    assert_eq!(supervisor_field(&report, "worker_deaths"), 0.0);
+    assert_eq!(lookups(&report), want, "process mode must count its workers' lookups");
+
+    let _ = std::fs::remove_dir_all(&thread_dir);
+    let _ = std::fs::remove_dir_all(&process_dir);
+}
+
 /// Abort containment: `SIPT_FAULT_INJECT=abort:2:once` kills a worker
 /// process outright (`catch_unwind` can't see it). The supervisor
 /// respawns the shard with an attempt offset so the `:once` fault does

@@ -22,7 +22,7 @@ use crate::outcome::{L1Access, SiptStats, SpeculationOutcome};
 use crate::telemetry::{AccessRecord, BlockTelemetry, L1Telemetry};
 use sipt_cache::{CacheArray, Evicted, LineAddr, WayPredStats, WayPredictor, LINE_SHIFT};
 use sipt_mem::{PageSize, Translation, VirtAddr, PAGE_SHIFT};
-use sipt_predictors::{BlockPredictions, PredictorBank, StagedAccess};
+use sipt_predictors::PredictorBank;
 use sipt_telemetry::SpecEventKind;
 
 /// Compile-time selection of an [`L1Policy`].
@@ -166,29 +166,6 @@ impl SiptL1 {
         self.access_impl(P::POLICY, pc, va, translation, tlb_cycles, write)
     }
 
-    /// [`SiptL1::access_mono`] with an optional staged-prediction record
-    /// from a preceding [`SiptL1::stage_block`] sweep. `staged` is a pure
-    /// acceleration hint: the result is bit-identical with or without it
-    /// (pinned by the staging differential tests).
-    #[inline]
-    pub fn access_mono_staged<P: PolicyTag>(
-        &mut self,
-        pc: u64,
-        va: VirtAddr,
-        translation: Translation,
-        tlb_cycles: u64,
-        write: bool,
-        staged: Option<&StagedAccess>,
-    ) -> L1Access {
-        debug_assert_eq!(P::POLICY, self.config.policy, "policy tag must match the configuration");
-        let (access, record) =
-            self.access_core(P::POLICY, pc, va, translation, tlb_cycles, write, staged);
-        if let Some(t) = &mut self.telemetry {
-            t.record(&record);
-        }
-        access
-    }
-
     /// [`SiptL1::access_mono`] for the block-replay kernel's telemetry
     /// block mode: the access is recorded into the caller's block-local
     /// [`BlockTelemetry`] instead of the attached [`L1Telemetry`], which
@@ -196,12 +173,7 @@ impl SiptL1 {
     /// [`SiptL1::flush_block_telemetry`]. Only valid while
     /// [`SiptL1::telemetry_block_eligible`] holds (debug-asserted);
     /// the combination is byte-identical to [`SiptL1::access_mono`].
-    ///
-    /// `staged` optionally carries this access's record from a preceding
-    /// [`SiptL1::stage_block`] sweep; it is a pure acceleration hint —
-    /// the access result is bit-identical with or without it.
     #[inline]
-    #[allow(clippy::too_many_arguments)] // the per-access hot-path signature; grouping would cost a construction per access
     pub fn access_mono_block<P: PolicyTag>(
         &mut self,
         pc: u64,
@@ -209,7 +181,6 @@ impl SiptL1 {
         translation: Translation,
         tlb_cycles: u64,
         write: bool,
-        staged: Option<&StagedAccess>,
         blk: &mut BlockTelemetry,
     ) -> L1Access {
         debug_assert_eq!(P::POLICY, self.config.policy, "policy tag must match the configuration");
@@ -217,41 +188,9 @@ impl SiptL1 {
             self.telemetry_block_eligible(),
             "block-mode access without an eligible telemetry attachment"
         );
-        let (access, record) =
-            self.access_core(P::POLICY, pc, va, translation, tlb_cycles, write, staged);
+        let (access, record) = self.access_core(P::POLICY, pc, va, translation, tlb_cycles, write);
         blk.record(&record);
         access
-    }
-
-    /// Whether [`SiptL1::stage_block`] has anything to precompute for the
-    /// configured policy: staging covers the perceptron + IDB front-end,
-    /// so only perceptron-bypass SIPT policies qualify.
-    pub fn staging_eligible(&self) -> bool {
-        matches!(self.config.policy, L1Policy::SiptBypass | L1Policy::SiptCombined)
-            && self.config.bypass == BypassKind::Perceptron
-    }
-
-    /// Stage a window of a block's memory accesses ahead of the timing
-    /// loop: `pcs` and `unchanged` describe consecutive memory references
-    /// in program order starting at block-level access index `base`
-    /// (`unchanged[k]` = speculative index bits identical between VA and
-    /// PA, as the batched translation pass already knows). The per-access
-    /// records land in `out`, to be passed back through
-    /// [`SiptL1::access_mono_block`]'s `staged` parameter keyed by the
-    /// same block-level index. Read-only on the predictor state — the
-    /// bank must be exactly current at the window start; see
-    /// [`PredictorBank::stage_block`] for the exactness argument.
-    pub fn stage_block(
-        &self,
-        pcs: &[u64],
-        unchanged: &[bool],
-        base: usize,
-        out: &mut BlockPredictions,
-    ) {
-        debug_assert!(self.staging_eligible(), "staging an ineligible policy");
-        let idb_active =
-            self.config.policy == L1Policy::SiptCombined && self.speculative_bits() > 1;
-        self.bank.stage_block(pcs, unchanged, idb_active, base, out);
     }
 
     /// Whether the attached telemetry (if any) can be fed in block mode:
@@ -284,8 +223,7 @@ impl SiptL1 {
         tlb_cycles: u64,
         write: bool,
     ) -> L1Access {
-        let (access, record) =
-            self.access_core(policy, pc, va, translation, tlb_cycles, write, None);
+        let (access, record) = self.access_core(policy, pc, va, translation, tlb_cycles, write);
         if let Some(t) = &mut self.telemetry {
             t.record(&record);
         }
@@ -297,7 +235,6 @@ impl SiptL1 {
     /// record is a handful of register writes and folds away entirely at
     /// call sites that discard it.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // the per-access hot-path signature; grouping would cost a construction per access
     fn access_core(
         &mut self,
         policy: L1Policy,
@@ -306,7 +243,6 @@ impl SiptL1 {
         translation: Translation,
         tlb_cycles: u64,
         write: bool,
-        staged: Option<&StagedAccess>,
     ) -> (L1Access, AccessRecord) {
         let n = self.speculative_bits();
         let va_bits = va.index_bits(n);
@@ -337,7 +273,7 @@ impl SiptL1 {
             ),
             L1Policy::SiptBypass => {
                 let (speculate, m) = match self.config.bypass {
-                    BypassKind::Perceptron => self.bank.perceptron_access(pc, unchanged, staged),
+                    BypassKind::Perceptron => self.bank.perceptron_access(pc, unchanged),
                     BypassKind::Counter => self.bank.counter_access(pc, unchanged),
                 };
                 margin = m;
@@ -355,7 +291,7 @@ impl SiptL1 {
                 let (speculate, delta) = match self.config.bypass {
                     BypassKind::Perceptron => {
                         let out =
-                            self.bank.combined_access(pc, unchanged, want_idb, observed, staged);
+                            self.bank.combined_access(pc, unchanged, want_idb, observed, None);
                         margin = out.margin;
                         (out.speculate, out.delta)
                     }

@@ -49,5 +49,5 @@ pub use config::{
 };
 pub use l1::{policy_tags, PolicyTag, SiptL1};
 pub use outcome::{L1Access, SiptStats, SpeculationOutcome};
-pub use sipt_predictors::{BlockPredictions, PredictorBank, StagedAccess};
+pub use sipt_predictors::PredictorBank;
 pub use telemetry::{BlockTelemetry, L1Telemetry, MispredictCauses};

@@ -8,11 +8,7 @@
 //! paper finds in-order cores prefer larger L1s (capacity) over the OOO
 //! cores' preference for lower latency.
 
-use crate::ooo::RUN_FAST_MIN;
-use crate::trace::{
-    meta_exec_latency, meta_reg_slot, CoreResult, Inst, MemOp, MemResponse, MemoryPath,
-    META_HAS_MEM, NUM_REGS,
-};
+use crate::trace::{CoreResult, Inst, MemOp, MemResponse, MemoryPath, NUM_REGS};
 
 /// In-order core configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +67,6 @@ pub struct InOrderEngine {
     finish: u64,
     n: u64,
     mem_ops: u64,
-    fast_fwd_insts: u64,
 }
 
 impl InOrderEngine {
@@ -90,14 +85,7 @@ impl InOrderEngine {
             finish: 0,
             n: 0,
             mem_ops: 0,
-            fast_fwd_insts: 0,
         }
-    }
-
-    /// Instructions advanced through the closed-form run fast-forward
-    /// (diagnostic: how much of the stream the precondition captured).
-    pub fn fast_fwd_insts(&self) -> u64 {
-        self.fast_fwd_insts
     }
 
     /// Advance the model by one decoded instruction; same contract as
@@ -170,82 +158,6 @@ impl InOrderEngine {
         self.last_issue = issue;
         self.finish = self.finish.max(complete);
         self.n += 1;
-    }
-
-    /// Advance the model over a run of non-memory instructions given as
-    /// packed metadata words, bit-identical to calling
-    /// [`InOrderEngine::step`] once per word — the in-order counterpart
-    /// of [`crate::OooEngine::step_run`].
-    ///
-    /// The scoreboard invariant `last_issue ≤ issue_q` always holds (the
-    /// last issue *is* the previous quotient), so a chunk fast-forwards
-    /// whenever it is RAW-free and every pre-run source-ready time is at
-    /// or below the current issue quotient: no issue ever jumps, and the
-    /// issue staircase plus completion writes collapse to one
-    /// branch-light pass with no register reads at all.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that no word references memory.
-    pub fn step_run(&mut self, metas: &[u32]) {
-        // Chunked so one RAW hazard doesn't force the whole run onto the
-        // slim path.
-        for chunk in metas.chunks(64) {
-            if chunk.len() < RUN_FAST_MIN || !self.try_run_fast(chunk) {
-                for &meta in chunk {
-                    let (dst, srcs, mem_store, lat) = crate::trace::unpack_meta_fields(meta);
-                    debug_assert!(mem_store.is_none(), "step_run is for non-memory runs");
-                    self.step(dst, srcs, None, lat, |_| -> MemResponse {
-                        unreachable!("non-memory instruction")
-                    });
-                }
-            }
-        }
-    }
-
-    /// Attempt the fast-forward over one non-memory chunk; `false` (with
-    /// nothing mutated) when the precondition fails.
-    fn try_run_fast(&mut self, metas: &[u32]) -> bool {
-        let mut written = 0u64;
-        let mut src_max = 0u64;
-        for &meta in metas {
-            debug_assert_eq!(meta & META_HAS_MEM, 0, "step_run is for non-memory runs");
-            let s0 = meta_reg_slot(meta, 7, 13);
-            let s1 = meta_reg_slot(meta, 14, 20);
-            let reads =
-                (((s0 < NUM_REGS) as u64) << (s0 & 63)) | (((s1 < NUM_REGS) as u64) << (s1 & 63));
-            if written & reads != 0 {
-                return false;
-            }
-            src_max = src_max.max(self.reg_ready[s0]).max(self.reg_ready[s1]);
-            let d = meta_reg_slot(meta, 0, 6);
-            written |= ((d < NUM_REGS) as u64) << (d & 63);
-        }
-        // `ready = max(last_issue, sources)`: `last_issue` equals the
-        // previous quotient, so with every source at or below the current
-        // quotient no issue jumps — strictly one slot per instruction.
-        if src_max > self.issue_q {
-            return false;
-        }
-        let mut q = self.issue_q;
-        let mut r = self.issue_r;
-        for &meta in metas {
-            r += 1;
-            let carry = r == self.width;
-            q += u64::from(carry);
-            r = if carry { 0 } else { r };
-            let complete = q + meta_exec_latency(meta);
-            let d = meta_reg_slot(meta, 0, 6);
-            self.reg_ready[d] = complete;
-            self.reg_ready[NUM_REGS] = 0;
-            self.finish = self.finish.max(complete);
-        }
-        self.issue_q = q;
-        self.issue_r = r;
-        self.last_issue = q;
-        self.n += metas.len() as u64;
-        self.fast_fwd_insts += metas.len() as u64;
-        true
     }
 
     /// Final counts for the stream stepped so far.

@@ -33,7 +33,7 @@ pub mod ooo;
 pub mod trace;
 
 pub use inorder::{simulate_inorder, InOrderConfig, InOrderEngine};
-pub use ooo::{simulate_ooo, OooConfig, OooEngine, RUN_FAST_MIN};
+pub use ooo::{simulate_ooo, OooConfig, OooEngine};
 pub use trace::{
     meta_has_mem, pack_inst_meta, unpack_inst_meta, unpack_meta_fields, CoreResult, FixedMemory,
     Inst, MemOp, MemRef, MemResponse, MemoryPath, Reg, META_HAS_MEM, NUM_REGS,

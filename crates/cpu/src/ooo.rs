@@ -10,17 +10,7 @@
 //! ROB window, and L1 port contention from SIPT replays — at a small
 //! fraction of a full pipeline model's cost.
 
-use crate::trace::{
-    meta_exec_latency, meta_reg_slot, CoreResult, Inst, MemOp, MemResponse, MemoryPath,
-    META_HAS_MEM, NUM_REGS,
-};
-
-/// Runs shorter than this skip the fast-forward precondition scan: the
-/// scan costs about as much as simply stepping a handful of instructions.
-/// Callers batching non-memory runs can use the same threshold to decide
-/// whether a slice hand-off to [`OooEngine::step_run`] is worth its
-/// bookkeeping at all.
-pub const RUN_FAST_MIN: usize = 8;
+use crate::trace::{CoreResult, Inst, MemOp, MemResponse, MemoryPath, NUM_REGS};
 
 /// OOO core configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +92,6 @@ pub struct OooEngine {
     ring_slot: usize,
     i: u64,
     mem_ops: u64,
-    fast_fwd_insts: u64,
 }
 
 impl OooEngine {
@@ -124,14 +113,7 @@ impl OooEngine {
             ring_slot: 0,
             i: 0,
             mem_ops: 0,
-            fast_fwd_insts: 0,
         }
-    }
-
-    /// Instructions advanced through the closed-form run fast-forward
-    /// (diagnostic: how much of the stream the precondition captured).
-    pub fn fast_fwd_insts(&self) -> u64 {
-        self.fast_fwd_insts
     }
 
     /// Advance the model by one decoded instruction. Memory instructions
@@ -220,143 +202,6 @@ impl OooEngine {
         self.fetch_rem = if wrap { 0 } else { self.fetch_rem + 1 };
         self.ring_slot = if ring_slot + 1 == self.rob { 0 } else { ring_slot + 1 };
         self.i += 1;
-    }
-
-    /// Advance the model over a *run* of non-memory instructions given as
-    /// packed metadata words (see `pack_inst_meta`), bit-identical to
-    /// calling [`OooEngine::step`] once per word.
-    ///
-    /// When a chunk of the run satisfies a cheap precondition — no
-    /// read-after-write inside the chunk, and every completion provably
-    /// at or below the current retire quotient (typical beneath a
-    /// long-latency miss that has pushed retirement far ahead of fetch) —
-    /// the retire/fetch/ring algebra advances in a branchless staircase
-    /// instead of the per-instruction select cascade. Chunks that fail
-    /// the precondition replay through [`OooEngine::step`].
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that no word references memory.
-    pub fn step_run(&mut self, metas: &[u32]) {
-        // Chunk below the ROB size so each ring slot is touched at most
-        // once per chunk (reads then writes stay pre-/post-run distinct).
-        let max_chunk = (self.rob - 1).clamp(1, 64);
-        let mut rest = metas;
-        while !rest.is_empty() {
-            let k = rest.len().min(max_chunk);
-            let (chunk, tail) = rest.split_at(k);
-            if chunk.len() < RUN_FAST_MIN || !self.try_run_fast(chunk) {
-                self.run_slim(chunk);
-            }
-            rest = tail;
-        }
-    }
-
-    /// Exact per-instruction replay of a non-memory chunk through
-    /// [`OooEngine::step`] (the fast path's fallback).
-    fn run_slim(&mut self, metas: &[u32]) {
-        for &meta in metas {
-            let (dst, srcs, mem_store, lat) = crate::trace::unpack_meta_fields(meta);
-            debug_assert!(mem_store.is_none(), "step_run is for non-memory runs");
-            self.step(dst, srcs, None, lat, |_| -> MemResponse {
-                unreachable!("non-memory instruction")
-            });
-        }
-    }
-
-    /// Attempt the O(passes) fast-forward over one non-memory chunk.
-    /// Returns `false` (having mutated nothing) when the precondition
-    /// fails.
-    fn try_run_fast(&mut self, metas: &[u32]) -> bool {
-        debug_assert!(metas.len() < self.rob);
-        let k = metas.len() as u64;
-        // --- O(1) pre-reject -----------------------------------------
-        // Retire times are monotone nondecreasing in program order, so the
-        // ring holds nondecreasing values walking forward from `ring_slot`
-        // (the oldest entry): the max over the k slots the chunk will read
-        // is simply the last of them. Together with the closed-form fetch
-        // endpoint this rejects in O(1) whenever retirement is not far
-        // ahead of fetch — the common hit-heavy steady state — before
-        // paying the O(k) register scan below.
-        let last = self.ring_slot + metas.len() - 1;
-        let ring_max = self.rob_retire[if last >= self.rob { last - self.rob } else { last }];
-        let f_end = self.fetch_time + (self.fetch_rem + k - 1) / self.width;
-        if f_end.max(ring_max) > self.retire_q {
-            return false;
-        }
-        // --- precondition scan (read-only) ---------------------------
-        // (1) RAW-free: no instruction reads a register written earlier
-        //     in the chunk, so every source's ready time is its pre-run
-        //     value; (2) collect the max source-ready over registers
-        //     actually read, and the max exec latency.
-        let mut written = 0u64;
-        let mut src_max = 0u64;
-        let mut lat_max = 0u64;
-        for &meta in metas {
-            debug_assert_eq!(meta & META_HAS_MEM, 0, "step_run is for non-memory runs");
-            let s0 = meta_reg_slot(meta, 7, 13);
-            let s1 = meta_reg_slot(meta, 14, 20);
-            let reads =
-                (((s0 < NUM_REGS) as u64) << (s0 & 63)) | (((s1 < NUM_REGS) as u64) << (s1 & 63));
-            if written & reads != 0 {
-                return false;
-            }
-            src_max = src_max.max(self.reg_ready[s0]).max(self.reg_ready[s1]);
-            let d = meta_reg_slot(meta, 0, 6);
-            written |= ((d < NUM_REGS) as u64) << (d & 63);
-            lat_max = lat_max.max(meta_exec_latency(meta));
-        }
-        // Every completion is ≤ max(dispatch bound, source bound) + Lmax.
-        // When that stays at or below the current retire quotient, no
-        // retire ever jumps: the commit staircase advances exactly one
-        // slot per instruction and the whole chunk's algebra is
-        // closed-form.
-        if f_end.max(ring_max).max(src_max) + lat_max > self.retire_q {
-            return false;
-        }
-
-        // --- pass 1: dataflow ----------------------------------------
-        // Reads pre-run ring values and (RAW-free) pre-run register
-        // times; writes completion times. Identical arithmetic to
-        // `step`, minus the retire/port selects the precondition proved
-        // inert.
-        let mut ft = self.fetch_time;
-        let mut fr = self.fetch_rem;
-        let mut slot = self.ring_slot;
-        for &meta in metas {
-            let dispatch = ft.max(self.rob_retire[slot]);
-            let s0 = meta_reg_slot(meta, 7, 13);
-            let s1 = meta_reg_slot(meta, 14, 20);
-            let ready = dispatch.max(self.reg_ready[s0]).max(self.reg_ready[s1]);
-            let complete = ready + meta_exec_latency(meta);
-            let d = meta_reg_slot(meta, 0, 6);
-            self.reg_ready[d] = complete;
-            self.reg_ready[NUM_REGS] = 0;
-            let wrap = fr + 1 == self.width;
-            ft += u64::from(wrap);
-            fr = if wrap { 0 } else { fr + 1 };
-            slot = if slot + 1 == self.rob { 0 } else { slot + 1 };
-        }
-        // --- pass 2: retire staircase + ring writes ------------------
-        let mut q = self.retire_q;
-        let mut r = self.retire_r;
-        let mut ring = self.ring_slot;
-        for _ in 0..metas.len() {
-            r += 1;
-            let carry = r == self.width;
-            q += u64::from(carry);
-            r = if carry { 0 } else { r };
-            self.rob_retire[ring] = q;
-            ring = if ring + 1 == self.rob { 0 } else { ring + 1 };
-        }
-        self.retire_q = q;
-        self.retire_r = r;
-        self.ring_slot = ring;
-        self.fetch_time = ft;
-        self.fetch_rem = fr;
-        self.i += k;
-        self.fast_fwd_insts += k;
-        true
     }
 
     /// Final counts for the stream stepped so far.

@@ -177,26 +177,6 @@ pub fn unpack_meta_fields(meta: u32) -> (Option<Reg>, [Option<Reg>; 2], Option<b
     (reg(0, 6), [reg(7, 13), reg(14, 20)], mem_store, ((meta >> 23) & 0xFF) as u64)
 }
 
-/// Decode one operand field of a packed metadata word straight to a
-/// register-file *slot*: the register number when the presence bit is
-/// set, else the engines' always-zero sentinel slot [`NUM_REGS`]. This is
-/// the branchless form of [`unpack_meta_fields`]'s `Option<Reg>` decode,
-/// shared by the engines' run fast-forward paths.
-#[inline(always)]
-pub(crate) fn meta_reg_slot(meta: u32, shift: u32, present: u32) -> usize {
-    if meta & (1 << present) != 0 {
-        ((meta >> shift) & 0x3F) as usize
-    } else {
-        NUM_REGS
-    }
-}
-
-/// Execution latency field of a packed metadata word.
-#[inline(always)]
-pub(crate) fn meta_exec_latency(meta: u32) -> u64 {
-    ((meta >> 23) & 0xFF) as u64
-}
-
 /// The response of the memory path to one load/store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemResponse {

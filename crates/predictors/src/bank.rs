@@ -1,5 +1,5 @@
 //! The fused predictor bank: perceptron + IDB + counter in one
-//! plane-interleaved SoA, plus the block-staged front-end.
+//! plane-interleaved SoA.
 //!
 //! The three scalar predictors ([`PerceptronPredictor`],
 //! [`IndexDeltaBuffer`], [`CounterPredictor`]) are all PC-indexed tables
@@ -23,150 +23,10 @@
 //! bit-identical — decisions, margins, *and* statistics — to the scalar
 //! composition in the order the SIPT L1 invokes it; the scalar types are
 //! retained as differential oracles (`tests/bank_differential.rs`).
-//!
-//! # Block staging
-//!
-//! [`PredictorBank::stage_block`] sweeps a block's packed `pc[]` array
-//! *before* the timing loop: it computes row indices, perceptron
-//! dot-products (reusing the const-generic h=12 unroll over the
-//! contiguous weight plane), and IDB delta peeks into a per-block scratch
-//! ([`BlockPredictions`]), so the in-loop path collapses to a load plus a
-//! branchless select with the training deferred to the fused update.
-//!
-//! Staging is exact, not heuristic, because every input the predictors
-//! consume is known before the timing loop runs:
-//!
-//! - the *outcome* stream (`unchanged` per access) derives from the
-//!   block's pre-batched translations, never from timing;
-//! - the global history therefore evolves deterministically during the
-//!   sweep (`update` shifts it on **every** access, trained or not), so
-//!   each staged dot-product uses the exact history its access will see;
-//! - only *weight mutations* (trainings) can invalidate a staged row.
-//!   `stage_block` emits per-row generation stamps: a row is stamped as
-//!   soon as an earlier access in the block trains it — or *may* train it
-//!   (an access whose own row was already stamped has an unknowable
-//!   `y`, so its training decision is unknowable too and its row is
-//!   stamped conservatively). The hot loop falls back to the scalar
-//!   dot-product on stamp mismatch, which is always correct.
-//!
-//! The same stamping guards IDB peeks: every IDB update (unconditional
-//! when the combined policy runs with >1 speculative bit) stamps its row,
-//! so a staged peek is used only when no earlier access in the block
-//! could have rewritten the entry.
 
 use crate::counter::CounterConfig;
 use crate::idb::{IdbConfig, IdbStats};
 use crate::perceptron::{PerceptronConfig, PerceptronPredictor, PerceptronStats};
-
-/// One staged memory access: the precomputed rows, dot-product, and IDB
-/// peek [`PredictorBank::stage_block`] derived before the timing loop.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StagedAccess {
-    /// Perceptron sum from the staged sweep (valid iff
-    /// [`StagedAccess::P_VALID`]).
-    pub y: i32,
-    /// Perceptron row index (always valid — row hashing is stateless).
-    pub prow: u32,
-    /// IDB row index (always valid).
-    pub irow: u32,
-    /// Staged IDB delta (meaningful iff [`StagedAccess::I_VALID`] and
-    /// [`StagedAccess::I_PRESENT`]).
-    pub delta: u16,
-    /// Validity flags ([`StagedAccess::P_VALID`] | [`StagedAccess::I_VALID`]
-    /// | [`StagedAccess::I_PRESENT`]).
-    pub flags: u8,
-}
-
-impl StagedAccess {
-    /// The staged perceptron sum is valid: no earlier access in the block
-    /// trained (or may have trained) this row.
-    pub const P_VALID: u8 = 1 << 0;
-    /// The staged IDB peek is valid: no earlier access in the block
-    /// updated this IDB row.
-    pub const I_VALID: u8 = 1 << 1;
-    /// The staged IDB entry was populated (cold entries predict delta 0).
-    pub const I_PRESENT: u8 = 1 << 2;
-}
-
-/// Per-block scratch for staged predictions: one [`StagedAccess`] per
-/// memory access plus the per-row generation stamps. Reused across blocks
-/// (the stamp arrays are epoch-tagged, so re-staging never clears them).
-#[derive(Debug, Default)]
-pub struct BlockPredictions {
-    entries: Vec<StagedAccess>,
-    pgen: Vec<u32>,
-    igen: Vec<u32>,
-    epoch: u32,
-    /// Block-level index of the first staged access: the consumer indexes
-    /// [`BlockPredictions::get`] with its running memory-access counter,
-    /// and windowed staging re-stages a bounded slice at a time (keeping
-    /// the scratch L1-cache-resident) rather than the whole block.
-    base: usize,
-    active: bool,
-}
-
-impl BlockPredictions {
-    /// Empty, inactive scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Reset for a new staged window over a bank with `rows` rows.
-    fn begin(&mut self, rows: usize, base: usize) {
-        self.entries.clear();
-        self.base = base;
-        self.active = false;
-        if self.pgen.len() != rows {
-            self.pgen = vec![0; rows];
-            self.igen = vec![0; rows];
-            self.epoch = 0;
-        }
-        if self.epoch == u32::MAX {
-            self.pgen.fill(0);
-            self.igen.fill(0);
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-        }
-    }
-
-    /// The staged record for the block's `k`-th memory access, or `None`
-    /// when staging is inactive (disabled policy/knob) or `k` falls
-    /// outside the currently staged window.
-    #[inline]
-    pub fn get(&self, k: usize) -> Option<&StagedAccess> {
-        if self.active {
-            self.entries.get(k.wrapping_sub(self.base))
-        } else {
-            None
-        }
-    }
-
-    /// Whether the scratch holds staged predictions for the current block.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
-    /// Number of staged accesses in the current block.
-    pub fn len(&self) -> usize {
-        if self.active {
-            self.entries.len()
-        } else {
-            0
-        }
-    }
-
-    /// Whether no staged predictions are held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop any staged predictions (ineligible policy or knob off).
-    pub fn deactivate(&mut self) {
-        self.active = false;
-        self.entries.clear();
-    }
-}
 
 /// The outcome of one fused combined-policy access (perceptron bypass +
 /// IDB), mirroring exactly what the SIPT L1's `SiptCombined` arm needs.
@@ -315,13 +175,14 @@ impl PredictorBank {
         Self::table_row(pc, self.ccfg.entries)
     }
 
-    /// `y = w0 + Σ xi·wi` over the row starting at `base`, with an
-    /// explicit history (the staged sweep passes the simulated evolving
-    /// history; live paths pass `self.history`).
+    /// `y = w0 + Σ xi·wi` over perceptron row `prow` and the current
+    /// global history.
     #[inline]
-    fn dot_at(&self, base: usize, history: u64) -> i32 {
+    fn dot(&self, prow: usize) -> i32 {
         let h = self.pcfg.history;
+        let base = prow * self.stride;
         let w = &self.plane[base..base + h + 1];
+        let history = self.history;
         match h {
             12 => PerceptronPredictor::dot_n::<12>(w, history),
             _ => {
@@ -363,25 +224,6 @@ impl PredictorBank {
         self.history = (self.history << 1) | u64::from(unchanged);
     }
 
-    /// Resolve the perceptron row and sum for one access: from the staged
-    /// record when its stamp is still valid, else a live dot-product
-    /// (reusing the staged row index when available — hashing is the only
-    /// thing a stale stamp cannot invalidate).
-    #[inline]
-    fn resolve_y(&self, pc: u64, staged: Option<&StagedAccess>) -> (usize, i32) {
-        match staged {
-            Some(s) if s.flags & StagedAccess::P_VALID != 0 => (s.prow as usize, s.y),
-            Some(s) => {
-                let prow = s.prow as usize;
-                (prow, self.dot_at(prow * self.stride, self.history))
-            }
-            None => {
-                let prow = self.prow(Self::fold(pc));
-                (prow, self.dot_at(prow * self.stride, self.history))
-            }
-        }
-    }
-
     // -----------------------------------------------------------------
     // Fused per-access entry points
     // -----------------------------------------------------------------
@@ -390,13 +232,9 @@ impl PredictorBank {
     /// call with one row hash. Equivalent to the scalar sequence
     /// `predict(pc); last_margin(); update(pc, unchanged)` — including
     /// statistics. Returns `(speculate, margin)`.
-    pub fn perceptron_access(
-        &mut self,
-        pc: u64,
-        unchanged: bool,
-        staged: Option<&StagedAccess>,
-    ) -> (bool, u64) {
-        let (prow, y) = self.resolve_y(pc, staged);
+    pub fn perceptron_access(&mut self, pc: u64, unchanged: bool) -> (bool, u64) {
+        let prow = self.prow(Self::fold(pc));
+        let y = self.dot(prow);
         self.stats.predictions += 1;
         self.last_y = y;
         let speculate = y >= 0;
@@ -426,72 +264,65 @@ impl PredictorBank {
     /// and, in the default configuration, every plane touch on one cache
     /// line. `observed` is the resolved index delta (ignored unless
     /// `want_idb`).
+    ///
+    /// `_none` is always `None`: the parameter only keeps an older
+    /// five-argument call shape compiling.
     pub fn combined_access(
         &mut self,
         pc: u64,
         unchanged: bool,
         want_idb: bool,
         observed: u64,
-        staged: Option<&StagedAccess>,
+        _none: Option<std::convert::Infallible>,
     ) -> CombinedOutcome {
-        let (prow, irow, y) = match staged {
-            Some(s) => {
-                let prow = s.prow as usize;
-                let y = if s.flags & StagedAccess::P_VALID != 0 {
-                    s.y
-                } else {
-                    self.dot_at(prow * self.stride, self.history)
-                };
-                (prow, s.irow as usize, y)
-            }
-            None => {
-                let folded = Self::fold(pc);
-                let prow = self.prow(folded);
-                (prow, self.irow(folded), self.dot_at(prow * self.stride, self.history))
-            }
-        };
+        let folded = Self::fold(pc);
+        let prow = self.prow(folded);
+        let y = self.dot(prow);
         self.stats.predictions += 1;
         self.last_y = y;
         let speculate = y >= 0;
         let margin = u64::from(y.unsigned_abs());
 
-        let islot = irow * self.stride + self.islot;
+        let islot = self.irow(folded) * self.stride + self.islot;
         let mut delta = 0u64;
         if !speculate && want_idb {
-            // Staged peeks carry the entry contents; a stale stamp falls
-            // back to the live slot. Statistics match `IndexDeltaBuffer::
-            // predict` in either case.
-            let v = match staged {
-                Some(s) if s.flags & StagedAccess::I_VALID != 0 => {
-                    if s.flags & StagedAccess::I_PRESENT != 0 {
-                        i32::from(s.delta)
-                    } else {
-                        -1
-                    }
-                }
-                _ => self.plane[islot],
-            };
-            if v >= 0 {
-                self.istats.predictions += 1;
-                delta = v as u64;
-            } else {
-                self.istats.cold += 1;
-            }
+            delta = self.idb_load(islot);
         }
 
         self.train(prow, y, unchanged);
 
         if want_idb {
-            let obs = (observed & self.imask) as i32;
-            let v = self.plane[islot];
-            if v != obs {
-                if v >= 0 {
-                    self.istats.delta_changes += 1;
-                }
-                self.plane[islot] = obs;
-            }
+            self.idb_store(islot, observed);
         }
         CombinedOutcome { speculate, margin, delta }
+    }
+
+    /// Read the IDB slot at plane offset `islot` (0 when cold), counting
+    /// statistics like `IndexDeltaBuffer::predict`.
+    #[inline]
+    fn idb_load(&mut self, islot: usize) -> u64 {
+        let v = self.plane[islot];
+        if v >= 0 {
+            self.istats.predictions += 1;
+            v as u64
+        } else {
+            self.istats.cold += 1;
+            0
+        }
+    }
+
+    /// Write an observed delta into the IDB slot at plane offset `islot`,
+    /// like `IndexDeltaBuffer::update`.
+    #[inline]
+    fn idb_store(&mut self, islot: usize, observed: u64) {
+        let obs = (observed & self.imask) as i32;
+        let v = self.plane[islot];
+        if v != obs {
+            if v >= 0 {
+                self.istats.delta_changes += 1;
+            }
+            self.plane[islot] = obs;
+        }
     }
 
     // -----------------------------------------------------------------
@@ -502,27 +333,12 @@ impl PredictorBank {
     /// Predicted delta for `pc` (0 when cold), counting statistics like
     /// `IndexDeltaBuffer::predict`.
     pub fn idb_predict(&mut self, pc: u64) -> u64 {
-        let v = self.plane[self.irow(Self::fold(pc)) * self.stride + self.islot];
-        if v >= 0 {
-            self.istats.predictions += 1;
-            v as u64
-        } else {
-            self.istats.cold += 1;
-            0
-        }
+        self.idb_load(self.irow(Self::fold(pc)) * self.stride + self.islot)
     }
 
     /// Record an observed delta, like `IndexDeltaBuffer::update`.
     pub fn idb_update(&mut self, pc: u64, observed_delta: u64) {
-        let slot = self.irow(Self::fold(pc)) * self.stride + self.islot;
-        let obs = (observed_delta & self.imask) as i32;
-        let v = self.plane[slot];
-        if v != obs {
-            if v >= 0 {
-                self.istats.delta_changes += 1;
-            }
-            self.plane[slot] = obs;
-        }
+        self.idb_store(self.irow(Self::fold(pc)) * self.stride + self.islot, observed_delta);
     }
 
     /// `(bits + delta) mod 2^n` — the carry-free add of paper Fig 11.
@@ -551,82 +367,6 @@ impl PredictorBank {
     /// `IndexDeltaBuffer::stats`).
     pub fn idb_stats(&self) -> IdbStats {
         self.istats
-    }
-
-    // -----------------------------------------------------------------
-    // Block staging
-    // -----------------------------------------------------------------
-
-    /// Stage a window of accesses before the timing loop: for each
-    /// `(pc, unchanged)` pair, precompute row indices, the perceptron
-    /// dot-product against the exactly-simulated evolving history, and an
-    /// IDB peek, with per-row generation stamps bounding each staged
-    /// value's validity (see the module docs for the invalidation rules).
-    /// `idb_active` must be true iff the consuming policy will update the
-    /// IDB on every access (combined policy with >1 speculative bit).
-    /// `base` is the block-level index of `pcs[0]` — the consumer's
-    /// [`BlockPredictions::get`] key for the first staged access; windowed
-    /// callers re-stage bounded slices mid-block (with the bank state
-    /// exactly current at each window start) so the scratch stays cache-
-    /// resident and stamps only need to cover within-window trainings.
-    ///
-    /// Read-only on the bank; all mutation stays in the timing loop, so a
-    /// staged window can always fall back to the scalar path mid-block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pcs` and `unchanged` lengths differ.
-    pub fn stage_block(
-        &self,
-        pcs: &[u64],
-        unchanged: &[bool],
-        idb_active: bool,
-        base: usize,
-        out: &mut BlockPredictions,
-    ) {
-        assert_eq!(pcs.len(), unchanged.len(), "one outcome per staged access");
-        out.begin(self.rows(), base);
-        out.entries.reserve(pcs.len());
-        let epoch = out.epoch;
-        let mut hist = self.history;
-        for (&pc, &un) in pcs.iter().zip(unchanged) {
-            let folded = Self::fold(pc);
-            let prow = self.prow(folded);
-            let irow = self.irow(folded);
-            let p_valid = out.pgen[prow] != epoch;
-            // Only compute the dot-product when the hot loop can actually
-            // consume it: a stamped row's staged sum is dead on arrival,
-            // and — because an access whose own sum is unknowable must
-            // stamp conservatively — a stamped row *stays* stamped for the
-            // rest of the block. This bounds the staged dot work to the
-            // accesses the timing loop would otherwise recompute live.
-            let mut y = 0i32;
-            if p_valid {
-                y = self.dot_at(prow * self.stride, hist);
-                // An access trains when it mispredicts or lands under θ.
-                if ((y >= 0) != un) || y.abs() <= self.theta {
-                    out.pgen[prow] = epoch;
-                }
-            }
-            let i_valid = out.igen[irow] != epoch;
-            let slot = if i_valid { self.plane[irow * self.stride + self.islot] } else { -1 };
-            if idb_active {
-                out.igen[irow] = epoch;
-            }
-            let mut flags = 0u8;
-            flags |= u8::from(p_valid) * StagedAccess::P_VALID;
-            flags |= u8::from(i_valid) * StagedAccess::I_VALID;
-            flags |= u8::from(slot >= 0) * StagedAccess::I_PRESENT;
-            out.entries.push(StagedAccess {
-                y,
-                prow: prow as u32,
-                irow: irow as u32,
-                delta: slot.max(0) as u16,
-                flags,
-            });
-            hist = (hist << 1) | u64::from(un);
-        }
-        out.active = true;
     }
 }
 
@@ -659,65 +399,5 @@ mod tests {
         let (s1, _) = bank.counter_access(0x2040, false);
         assert_eq!(m0, 0);
         assert!(!s1, "0x2040 aliases 0x1040 in the raw-PC counter plane");
-    }
-
-    #[test]
-    fn staged_block_matches_live_replay() {
-        let pcs: Vec<u64> = (0..64u64).map(|i| 0x400100 + 4 * (i % 24)).collect();
-        let outcomes: Vec<bool> = (0..64u64).map(|i| i % 3 != 0).collect();
-        let mut live = PredictorBank::new(
-            PerceptronConfig::default(),
-            IdbConfig::default(),
-            CounterConfig::default(),
-        );
-        let mut staged_bank = live.clone();
-        let mut preds = BlockPredictions::new();
-        staged_bank.stage_block(&pcs, &outcomes, true, 0, &mut preds);
-        for (k, (&pc, &un)) in pcs.iter().zip(&outcomes).enumerate() {
-            let a = live.combined_access(pc, un, true, u64::from(un), None);
-            let b = staged_bank.combined_access(pc, un, true, u64::from(un), preds.get(k));
-            assert_eq!(a, b, "access {k}");
-        }
-        assert_eq!(live.perceptron_stats(), staged_bank.perceptron_stats());
-        assert_eq!(live.idb_stats(), staged_bank.idb_stats());
-        assert_eq!(live.plane, staged_bank.plane);
-        assert_eq!(live.history, staged_bank.history);
-    }
-
-    #[test]
-    fn stamps_invalidate_same_row_reuse() {
-        // Two accesses to the same (cold) row inside one block: the first
-        // trains (|y| = 0 ≤ θ), so the second's staged sum must be
-        // stamped invalid.
-        let bank = PredictorBank::new(
-            PerceptronConfig::default(),
-            IdbConfig::default(),
-            CounterConfig::default(),
-        );
-        let mut preds = BlockPredictions::new();
-        bank.stage_block(&[0x10, 0x10], &[true, true], true, 0, &mut preds);
-        let first = preds.get(0).unwrap();
-        let second = preds.get(1).unwrap();
-        assert!(first.flags & StagedAccess::P_VALID != 0);
-        assert_eq!(first.flags & StagedAccess::I_VALID, StagedAccess::I_VALID);
-        assert_eq!(second.flags & StagedAccess::P_VALID, 0, "first access trained the row");
-        assert_eq!(second.flags & StagedAccess::I_VALID, 0, "first access updated the IDB row");
-    }
-
-    #[test]
-    fn inactive_predictions_return_nothing() {
-        let mut preds = BlockPredictions::new();
-        assert!(preds.get(0).is_none());
-        assert!(preds.is_empty());
-        let bank = PredictorBank::new(
-            PerceptronConfig::default(),
-            IdbConfig::default(),
-            CounterConfig::default(),
-        );
-        bank.stage_block(&[0x10], &[true], false, 0, &mut preds);
-        assert!(preds.is_active());
-        assert_eq!(preds.len(), 1);
-        preds.deactivate();
-        assert!(preds.get(0).is_none());
     }
 }

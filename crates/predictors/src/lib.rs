@@ -18,16 +18,15 @@
 //! variants lives in `sipt-core`.
 //!
 //! [`PredictorBank`] fuses all three tables into one plane-interleaved
-//! SoA with a shared row hash and a block-staged front-end
-//! ([`PredictorBank::stage_block`]); the scalar types above are retained
-//! as its differential oracles.
+//! SoA with a shared row hash; the scalar types above are retained as
+//! its differential oracles.
 
 pub mod bank;
 pub mod counter;
 pub mod idb;
 pub mod perceptron;
 
-pub use bank::{BlockPredictions, CombinedOutcome, PredictorBank, StagedAccess};
+pub use bank::{CombinedOutcome, PredictorBank};
 pub use counter::{CounterConfig, CounterPredictor};
 pub use idb::{IdbConfig, IdbStats, IndexDeltaBuffer};
 pub use perceptron::{PerceptronConfig, PerceptronPredictor, PerceptronStats};

@@ -2,9 +2,7 @@
 //! retained scalar predictors it merged — `PerceptronPredictor`,
 //! `IndexDeltaBuffer`, and `CounterPredictor` — on arbitrary
 //! `(pc, outcome)` streams, for every bypass configuration the SIPT L1
-//! composes them in, and with the block-staged front-end both off and on
-//! (including the generation-stamp boundary case of two accesses sharing
-//! a row inside one staged window).
+//! composes them in.
 //!
 //! The scalar predictors are the oracles: each step drives both sides
 //! with the same access and asserts identical predictions, margins,
@@ -13,8 +11,8 @@
 
 use proptest::prelude::*;
 use sipt_predictors::{
-    BlockPredictions, CounterConfig, CounterPredictor, IdbConfig, IndexDeltaBuffer,
-    PerceptronConfig, PerceptronPredictor, PredictorBank,
+    CounterConfig, CounterPredictor, IdbConfig, IndexDeltaBuffer, PerceptronConfig,
+    PerceptronPredictor, PredictorBank,
 };
 
 /// One synthetic access: a PC drawn from a small aliasing universe, the
@@ -47,7 +45,7 @@ proptest! {
             let want_spec = oracle.predict(pc);
             let want_margin = oracle.last_margin();
             oracle.update(pc, un);
-            let (spec, margin) = bank.perceptron_access(pc, un, None);
+            let (spec, margin) = bank.perceptron_access(pc, un);
             prop_assert_eq!(spec, want_spec, "speculate diverged at access {}", i);
             prop_assert_eq!(margin, want_margin, "margin diverged at access {}", i);
         }
@@ -100,73 +98,4 @@ proptest! {
         prop_assert_eq!(bank.perceptron_stats(), perceptron.stats());
         prop_assert_eq!(bank.idb_stats(), idb.stats());
     }
-
-    /// Staged replay is bit-identical to unstaged replay of the same
-    /// stream, for arbitrary window sizes. Small windows exercise the
-    /// window boundary (bank exactly current at each `stage_block`);
-    /// large windows with 48 PCs over 64 rows exercise the generation
-    /// stamps — repeated rows inside one window must fall back to the
-    /// live scalar path exactly when a prior access may have trained or
-    /// updated the row (including two same-row accesses back to back).
-    #[test]
-    fn staged_replay_is_bit_identical_to_unstaged(
-        stream in accesses(),
-        window in 1usize..24,
-    ) {
-        let mut staged_bank = bank();
-        let mut live_bank = bank();
-        let mut preds = BlockPredictions::new();
-        let mut idx = 0usize;
-        for chunk in stream.chunks(window) {
-            let pcs: Vec<u64> = chunk.iter().map(|a| a.0).collect();
-            let uns: Vec<bool> = chunk.iter().map(|a| a.1).collect();
-            // The production caller stages with idb_active = whether the
-            // consuming policy updates the IDB each access; model the
-            // conservative (always-stamping) setting.
-            staged_bank.stage_block(&pcs, &uns, true, idx, &mut preds);
-            for (k, &(pc, un, observed, want_idb)) in chunk.iter().enumerate() {
-                let s = preds.get(idx + k);
-                prop_assert!(s.is_some(), "staged entry missing for access {}", idx + k);
-                let a = staged_bank.combined_access(pc, un, want_idb, observed, s);
-                let b = live_bank.combined_access(pc, un, want_idb, observed, None);
-                prop_assert_eq!(a, b, "staged/unstaged diverged at access {}", idx + k);
-            }
-            idx += chunk.len();
-        }
-        prop_assert_eq!(staged_bank.perceptron_stats(), live_bank.perceptron_stats());
-        prop_assert_eq!(staged_bank.idb_stats(), live_bank.idb_stats());
-    }
-}
-
-/// Deterministic stamp-boundary case: two accesses to the *same* row in
-/// one staged window, where the first trains (cold table, margin 0 ≤ θ).
-/// The second access's staged dot is stale by construction; the stamp
-/// must force `combined_access` onto the live path and reproduce the
-/// unstaged result exactly.
-#[test]
-fn same_row_update_inside_a_block_invalidates_the_staged_value() {
-    let mut staged_bank = bank();
-    let mut live_bank = bank();
-    let mut preds = BlockPredictions::new();
-
-    let pc = 0x0040_0100u64;
-    let pcs = [pc, pc, pc];
-    let uns = [true, false, true];
-    staged_bank.stage_block(&pcs, &uns, true, 0, &mut preds);
-
-    for (k, &un) in uns.iter().enumerate() {
-        let s = preds.get(k).expect("staged entry");
-        if k > 0 {
-            assert_eq!(
-                s.flags & sipt_predictors::StagedAccess::P_VALID,
-                0,
-                "same-row access {k} must carry a stamped (invalid) staged sum"
-            );
-        }
-        let a = staged_bank.combined_access(pc, un, true, 2, Some(s));
-        let b = live_bank.combined_access(pc, un, true, 2, None);
-        assert_eq!(a, b, "staged/unstaged diverged at access {k}");
-    }
-    assert_eq!(staged_bank.perceptron_stats(), live_bank.perceptron_stats());
-    assert_eq!(staged_bank.idb_stats(), live_bank.idb_stats());
 }

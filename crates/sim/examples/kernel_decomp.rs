@@ -5,7 +5,7 @@
 //! attributed to a phase without a system profiler.
 
 use sipt_cache::WayPredictor;
-use sipt_core::{sipt_32k_2w, BlockPredictions, L1Policy, PredictorBank, SiptL1};
+use sipt_core::{sipt_32k_2w, L1Policy, PredictorBank, SiptL1};
 use sipt_cpu::{unpack_meta_fields, MemResponse, OooConfig, OooEngine};
 use sipt_mem::{
     AddressSpace, BuddyAllocator, PhysAddr, PhysFrameNum, PlacementPolicy, Translation, VirtAddr,
@@ -50,20 +50,16 @@ fn main() {
         100.0 * mem_count as f64 / INSTS as f64
     );
 
-    // (a) full kernel, combined (staged + unstaged predictor front-end)
-    // and ideal policies.
-    for (label, cfg, stage) in [
-        ("full replay (SiptCombined)", sipt_32k_2w(), true),
-        ("full replay (SiptCombined, unstaged)", sipt_32k_2w(), false),
-        ("full replay (Ideal)", sipt_32k_2w().with_policy(L1Policy::Ideal), true),
+    // (a) full kernel, one replay per policy.
+    for (label, cfg) in [
+        ("full replay (SiptCombined)", sipt_32k_2w()),
+        ("full replay (Ideal)", sipt_32k_2w().with_policy(L1Policy::Ideal)),
     ] {
-        sipt_sim::set_predictor_stage(stage);
         let mut machine = Machine::new(asp.clone(), cfg, SystemKind::OooThreeLevel);
         time(label, INSTS, || {
             replay_trace(SystemKind::OooThreeLevel, &mut machine, &trace, "decomp").unwrap()
         });
     }
-    sipt_sim::set_predictor_stage(false);
 
     // (b) cursor walk alone: block slicing + meta decode.
     time("cursor + meta decode", INSTS, || {
@@ -97,71 +93,7 @@ fn main() {
         engine.finish()
     });
 
-    // (c') engine steps with run detection: non-memory runs go through
-    // `step_run` (the production phase-2 shape), memory ops step alone.
-    // The trailing coverage line says how many instructions the closed-
-    // form fast-forward absorbed (it only engages when retirement has
-    // been pushed far ahead of fetch, e.g. beneath a DRAM miss).
-    let run_engine = || {
-        let mut engine = OooEngine::new(OooConfig::default());
-        let mut c = trace.cursor();
-        while let Some(b) = c.next_block(256) {
-            let meta = b.meta;
-            let mut i = 0usize;
-            while i < meta.len() {
-                let start = i;
-                while i < meta.len() && !sipt_cpu::meta_has_mem(meta[i]) {
-                    i += 1;
-                }
-                // Production shape: long runs through the fast-forwarding
-                // slice API, short runs stepped inline.
-                if i - start >= sipt_cpu::RUN_FAST_MIN {
-                    engine.step_run(&meta[start..i]);
-                } else {
-                    for &m in &meta[start..i] {
-                        let (dst, srcs, _, lat) = unpack_meta_fields(m);
-                        engine.step(dst, srcs, None, lat, |_| -> MemResponse {
-                            unreachable!("non-memory instruction")
-                        });
-                    }
-                }
-                if i < meta.len() {
-                    let (dst, srcs, mem_store, lat) = unpack_meta_fields(meta[i]);
-                    engine.step(dst, srcs, mem_store, lat, |_| MemResponse {
-                        latency: 3,
-                        port_slots: 1,
-                    });
-                    i += 1;
-                }
-            }
-        }
-        engine
-    };
-    time("engine step_run (OOO)", INSTS, || run_engine().finish());
-    {
-        let engine = run_engine();
-        println!(
-            "{:32} {:8.1} % of insts",
-            "  fast-forward coverage",
-            100.0 * engine.fast_fwd_insts() as f64 / INSTS as f64
-        );
-    }
-
-    // (d) translation phase alone (the production phase-1, both modes).
-    for (label, on) in [("phase1 translate (batched)", true), ("phase1 translate (plain)", false)] {
-        sipt_sim::set_tlb_batch(on);
-        let cfg = sipt_32k_2w();
-        let mut machine = Machine::new(asp.clone(), cfg, SystemKind::OooThreeLevel);
-        // Replay once to warm the TLB, then time full replays; the
-        // translate share is (replay - engine - L1) but also directly
-        // visible via the batched-vs-plain delta.
-        time(label, INSTS, || {
-            replay_trace(SystemKind::OooThreeLevel, &mut machine, &trace, "decomp").unwrap()
-        });
-    }
-    sipt_sim::set_tlb_batch(true);
-
-    // (e) L1 access alone over the trace's memory VAs (identity
+    // (d) L1 access alone over the trace's memory VAs (identity
     // translation; hit-heavy by construction).
     for (label, policy) in [
         ("l1 access (SiptCombined)", L1Policy::SiptCombined),
@@ -192,7 +124,7 @@ fn main() {
         });
     }
 
-    // (f) combined-predictor decomposition: the L1's predictor overhead
+    // (e) combined-predictor decomposition: the L1's predictor overhead
     // split into its ingredients, each over the trace's memory-access
     // stream. Outcomes use a deterministic synthetic mix (~75% index bits
     // unchanged) so the perceptron trains at a realistic rate instead of
@@ -252,16 +184,6 @@ fn main() {
         for ((&pc, &un), &d) in pcs.iter().zip(&unchanged).zip(&deltas) {
             let o = bank.combined_access(pc, un, true, d, None);
             acc = acc.wrapping_add(o.margin).wrapping_add(o.delta);
-        }
-        acc
-    });
-    time("  bank staged sweep", nmem, || {
-        let bank = PredictorBank::new(cfg.perceptron, cfg.idb_config(), cfg.counter);
-        let mut preds = BlockPredictions::new();
-        let mut acc = 0u64;
-        for (w, (pw, uw)) in pcs.chunks(64).zip(unchanged.chunks(64)).enumerate() {
-            bank.stage_block(pw, uw, true, w * 64, &mut preds);
-            acc = acc.wrapping_add(preds.len() as u64);
         }
         acc
     });

@@ -6,21 +6,14 @@
 //! This module restructures the loop around fixed-size blocks of packed
 //! structure-of-arrays instructions ([`sipt_workloads::InstBlock`]):
 //!
-//! 1. **Batched translation with per-set MRU guards** — each block's
+//! 1. **Translation hoisted out of the timing loop** — each block's
 //!    memory VAs are translated *before* the timing loop. Consecutive
 //!    accesses to the same 4 KiB page skip the set-associative TLB probe
-//!    entirely via [`sipt_tlb::DataTlb::translate_repeat`], and
-//!    *non-consecutive* repeats within the run are short-circuited by
-//!    [`sipt_tlb::TlbBatch`]: one guard slot per L1-TLB set remembers the
-//!    set's MRU page, so any re-reference of a set-MRU page skips the
-//!    probe too (the skipped `get` would only refresh an already-MRU
-//!    entry, so every future replacement decision is unchanged — see the
-//!    `TlbBatch` docs for the proof sketch). Translation state (TLB +
-//!    translation cache) is disjoint from the cache hierarchy and
-//!    translations are time-independent, so hoisting them out of the
-//!    timing loop is bit-identical by construction. `SIPT_TLB_BATCH=0`
-//!    (or [`set_tlb_batch`]`(false)`, the figure binaries'
-//!    `--no-tlb-batch`) falls back to the plain probe-per-page path.
+//!    via [`sipt_tlb::DataTlb::translate_repeat`]; every other access
+//!    takes the plain [`sipt_tlb::DataTlb::translate_with`] probe.
+//!    Translation state (TLB + translation cache) is disjoint from the
+//!    cache hierarchy and translations are time-independent, so hoisting
+//!    them out of the timing loop is bit-identical by construction.
 //! 2. **Monomorphized policy dispatch** — the `(SystemKind, L1Policy)`
 //!    pair is matched *once per run*; the inner loop calls
 //!    [`sipt_core::SiptL1::access_mono`] with a zero-sized
@@ -39,28 +32,31 @@
 //!    tracer drop-accounting stay byte-identical (pinned by
 //!    `block_merge_matches_sequential_recording` in `sipt-core`).
 //!
+//! Phase 2 steps every instruction through the engine one at a time, and
+//! every memory access goes through the L1 (and its predictor bank) once.
+//!
 //! A translation fault (an unmapped VA — possible only for *external*
 //! traces, never for generated workloads) surfaces as a typed
 //! [`SimError::Trace`] instead of a panic, before any timing state is
 //! advanced for the faulting block.
 //!
-//! The batch size comes from `SIPT_REPLAY_BATCH` (default
-//! [`DEFAULT_REPLAY_BATCH`]) or [`set_replay_batch`]; any batch size
-//! produces bit-identical results — the golden-fingerprint tests pin this.
+//! Callers pass the batch size; production callers pass [`replay_batch`]
+//! (`SIPT_REPLAY_BATCH`, default [`DEFAULT_REPLAY_BATCH`], or
+//! [`set_replay_batch`]). Any batch size produces bit-identical results —
+//! the golden-fingerprint tests pin this.
 
 use crate::error::SimError;
 use crate::machine::{Machine, SystemKind};
 use sipt_cache::{LineAddr, LowerHierarchy};
-use sipt_core::{policy_tags, BlockPredictions, BlockTelemetry, L1Policy, PolicyTag, SiptL1};
+use sipt_core::{policy_tags, BlockTelemetry, L1Policy, PolicyTag, SiptL1};
 use sipt_cpu::{
-    meta_has_mem, unpack_meta_fields, CoreResult, InOrderConfig, InOrderEngine, MemResponse,
-    OooConfig, OooEngine, RUN_FAST_MIN,
+    unpack_meta_fields, CoreResult, InOrderConfig, InOrderEngine, MemResponse, OooConfig, OooEngine,
 };
 use sipt_dram::Dram;
 use sipt_mem::{VirtAddr, VirtPageNum};
-use sipt_tlb::{TlbBatch, TlbOutcome};
+use sipt_tlb::TlbOutcome;
 use sipt_workloads::{InstBlock, MaterializedTrace, TraceCursor};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
@@ -103,89 +99,6 @@ pub fn replay_batch() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// TLB-batching knob
-// ---------------------------------------------------------------------------
-
-/// Runtime enable state for guarded TLB batching: 0 = follow
-/// `SIPT_TLB_BATCH`, 1 = forced on, 2 = forced off (the figure binaries'
-/// `--no-tlb-batch` flag).
-static TLB_BATCH_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn tlb_batch_env_default() -> bool {
-    static PARSED: OnceLock<bool> = OnceLock::new();
-    *PARSED.get_or_init(|| match std::env::var("SIPT_TLB_BATCH") {
-        // Unset or blank keeps the default (on); otherwise the shared
-        // switch semantics apply, so `SIPT_TLB_BATCH=0` disables.
-        Ok(v) => v.trim().is_empty() || crate::env::switch_value(&v),
-        Err(_) => true,
-    })
-}
-
-/// Force guarded TLB batching on or off for the rest of the process,
-/// overriding `SIPT_TLB_BATCH`. Batching is a pure wall-clock
-/// optimization — payloads are bit-identical either way (pinned by the
-/// golden-fingerprint and escape-hatch tests) — so the escape hatch
-/// exists for triage, not correctness.
-pub fn set_tlb_batch(on: bool) {
-    TLB_BATCH_OVERRIDE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Whether the translation phase uses [`TlbBatch`] MRU guards.
-pub fn tlb_batch_enabled() -> bool {
-    match TLB_BATCH_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => tlb_batch_env_default(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Predictor-staging knob
-// ---------------------------------------------------------------------------
-
-/// Runtime enable state for the block-staged predictor front-end: 0 =
-/// follow `SIPT_PREDICTOR_STAGE`, 1 = forced on, 2 = forced off.
-static PREDICTOR_STAGE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn predictor_stage_env_default() -> bool {
-    static PARSED: OnceLock<bool> = OnceLock::new();
-    *PARSED.get_or_init(|| match std::env::var("SIPT_PREDICTOR_STAGE") {
-        // Unset or blank keeps the default (off — see below); otherwise
-        // the shared switch semantics apply, so `SIPT_PREDICTOR_STAGE=1`
-        // opts in and `SIPT_PREDICTOR_STAGE=0` forces off.
-        Ok(v) => !v.trim().is_empty() && crate::env::switch_value(&v),
-        Err(_) => false,
-    })
-}
-
-/// Force the block-staged predictor front-end on or off for the rest of
-/// the process, overriding `SIPT_PREDICTOR_STAGE`. Staging is payload-
-/// neutral — the staged records are validity-stamped and the L1 falls
-/// back to the scalar predictor path on any stamp mismatch, so results
-/// are bit-identical either way (pinned by the golden fingerprints, which
-/// the identity suite sweeps with staging forced on *and* off).
-///
-/// It is **off by default**: a staged dot-product costs exactly what the
-/// in-loop dot-product costs (same rows, same unroll), so staging can
-/// only relocate the predictor arithmetic while paying for the gather,
-/// sweep, stamps, and record traffic on top — measured at roughly +7
-/// ns/inst on the combined-policy replay at production block sizes (see
-/// the hot-path appendix in EXPERIMENTS.md). The mechanism stays for
-/// hosts or configurations where the trade flips.
-pub fn set_predictor_stage(on: bool) {
-    PREDICTOR_STAGE_OVERRIDE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Whether the replay kernel stages predictor state per block.
-pub fn predictor_stage_enabled() -> bool {
-    match PREDICTOR_STAGE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => predictor_stage_env_default(),
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Engine abstraction
 // ---------------------------------------------------------------------------
 
@@ -205,10 +118,6 @@ trait BlockEngine {
         exec_latency: u64,
         mem: F,
     );
-    /// Advance over a run of non-memory instructions (packed metadata),
-    /// bit-identical to stepping each one; long eligible runs advance in
-    /// closed form (same contract as [`OooEngine::step_run`]).
-    fn step_run(&mut self, metas: &[u32]);
     /// Final counts for the stream stepped so far.
     fn result(&self) -> CoreResult;
 }
@@ -228,11 +137,6 @@ impl BlockEngine for OooEngine {
         mem: F,
     ) {
         self.step(dst, srcs, mem_store, exec_latency, mem);
-    }
-
-    #[inline]
-    fn step_run(&mut self, metas: &[u32]) {
-        OooEngine::step_run(self, metas);
     }
 
     fn result(&self) -> CoreResult {
@@ -257,11 +161,6 @@ impl BlockEngine for InOrderEngine {
         self.step(dst, srcs, mem_store, exec_latency, mem);
     }
 
-    #[inline]
-    fn step_run(&mut self, metas: &[u32]) {
-        InOrderEngine::step_run(self, metas);
-    }
-
     fn result(&self) -> CoreResult {
         self.finish()
     }
@@ -272,10 +171,11 @@ impl BlockEngine for InOrderEngine {
 // ---------------------------------------------------------------------------
 
 /// Replay up to `limit` instructions from `cursor` through `machine` on
-/// the system's core model, in blocks. Pass `usize::MAX` to drain the
-/// cursor. The cursor stops exactly at the boundary, so warmup and
-/// measurement are separate calls (VPN coalescing state never crosses the
-/// `reset_stats` boundary — it is per-block anyway).
+/// the system's core model, in blocks of `batch` (at least 1)
+/// instructions. Pass `usize::MAX` to drain the cursor. The cursor stops
+/// exactly at the boundary, so warmup and measurement are separate calls
+/// (VPN coalescing state never crosses the `reset_stats` boundary — it is
+/// per-block anyway).
 ///
 /// # Errors
 ///
@@ -286,30 +186,32 @@ pub(crate) fn replay(
     machine: &mut Machine,
     cursor: &mut TraceCursor<'_>,
     limit: usize,
+    batch: usize,
     workload: &str,
 ) -> Result<CoreResult, SimError> {
+    debug_assert!(batch > 0, "replay batch must be at least 1");
     // One match per *run*: 2 systems x 6 policies, each arm a fully
     // monomorphized kernel instance.
     macro_rules! dispatch_policies {
         ($engine:ty) => {
             match machine.l1.config().policy {
-                L1Policy::Vipt => {
-                    replay_mono::<$engine, policy_tags::Vipt>(machine, cursor, limit, workload)
-                }
-                L1Policy::Ideal => {
-                    replay_mono::<$engine, policy_tags::Ideal>(machine, cursor, limit, workload)
-                }
-                L1Policy::Pipt => {
-                    replay_mono::<$engine, policy_tags::Pipt>(machine, cursor, limit, workload)
-                }
-                L1Policy::SiptNaive => {
-                    replay_mono::<$engine, policy_tags::SiptNaive>(machine, cursor, limit, workload)
-                }
+                L1Policy::Vipt => replay_mono::<$engine, policy_tags::Vipt>(
+                    machine, cursor, limit, batch, workload,
+                ),
+                L1Policy::Ideal => replay_mono::<$engine, policy_tags::Ideal>(
+                    machine, cursor, limit, batch, workload,
+                ),
+                L1Policy::Pipt => replay_mono::<$engine, policy_tags::Pipt>(
+                    machine, cursor, limit, batch, workload,
+                ),
+                L1Policy::SiptNaive => replay_mono::<$engine, policy_tags::SiptNaive>(
+                    machine, cursor, limit, batch, workload,
+                ),
                 L1Policy::SiptBypass => replay_mono::<$engine, policy_tags::SiptBypass>(
-                    machine, cursor, limit, workload,
+                    machine, cursor, limit, batch, workload,
                 ),
                 L1Policy::SiptCombined => replay_mono::<$engine, policy_tags::SiptCombined>(
-                    machine, cursor, limit, workload,
+                    machine, cursor, limit, batch, workload,
                 ),
             }
         };
@@ -335,31 +237,20 @@ pub fn replay_trace(
     workload: &str,
 ) -> Result<CoreResult, SimError> {
     let mut cursor = trace.cursor();
-    replay(system, machine, &mut cursor, usize::MAX, workload)
+    replay(system, machine, &mut cursor, usize::MAX, replay_batch(), workload)
 }
 
 /// The monomorphized kernel body: everything the per-access path did, with
-/// translation batched per block and the policy constant-folded.
+/// translation hoisted per block and the policy constant-folded.
 fn replay_mono<E: BlockEngine, P: PolicyTag>(
     machine: &mut Machine,
     cursor: &mut TraceCursor<'_>,
     limit: usize,
+    batch: usize,
     workload: &str,
 ) -> Result<CoreResult, SimError> {
-    let batch = replay_batch();
     let mut engine = E::fresh();
     let mut xbuf: Vec<TlbOutcome> = Vec::with_capacity(batch.min(1 << 16));
-    // Per-set MRU guards, fresh per replay call: nothing mutates the
-    // L1-TLB arrays between blocks of one call except the translation
-    // phase itself, so the guards stay valid across blocks.
-    let batching = tlb_batch_enabled();
-    let mut guards = TlbBatch::for_tlb(machine.tlb());
-    // Predictor staging: sweep (pc, unchanged) windows through the fused
-    // bank ahead of the timing loop (lazily, inside `step_block`, so the
-    // scratch stays cache-resident). `unchanged` derives from the batched
-    // translations alone, so staging needs nothing from timing.
-    let staging = predictor_stage_enabled() && machine.l1().staging_eligible();
-    let mut preds = BlockPredictions::new();
     // Telemetry mode is a property of the attachment, fixed for the run:
     // block accumulation when the tracer retains nothing and sampling is
     // 1:1 (the runner's default), per-access recording otherwise.
@@ -374,9 +265,8 @@ fn replay_mono<E: BlockEngine, P: PolicyTag>(
         // asp; the timing phase needs l1 + lower.
         let Machine { asp, tlb, xlat, l1, lower, .. } = machine;
 
-        // Phase 1: batch-translate the block's memory VAs. `prev_vpn`
-        // tracks VPN runs (the previous outcome is xbuf's last entry);
-        // non-consecutive set-MRU repeats fall to the guard check.
+        // Phase 1: translate the block's memory VAs. `prev_vpn` tracks VPN
+        // runs (the previous outcome is xbuf's last entry).
         xbuf.clear();
         let mut prev_vpn: Option<VirtPageNum> = None;
         for &raw in block.mem_vas {
@@ -385,9 +275,6 @@ fn replay_mono<E: BlockEngine, P: PolicyTag>(
             let outcome = if prev_vpn == Some(vpn) {
                 let prev = xbuf.last().expect("a VPN run starts with a full translation");
                 tlb.translate_repeat(prev, va)
-            } else if batching {
-                tlb.translate_batched(&mut guards, va, |va| xlat.translate(asp.page_table(), va))
-                    .map_err(|fault| SimError::trace(workload, fault.to_string()))?
             } else {
                 tlb.translate_with(va, |va| xlat.translate(asp.page_table(), va))
                     .map_err(|fault| SimError::trace(workload, fault.to_string()))?
@@ -396,32 +283,13 @@ fn replay_mono<E: BlockEngine, P: PolicyTag>(
             xbuf.push(outcome);
         }
 
-        // Phase 2: step the timing engine over the block (staging the
-        // predictor front-end in windows as it goes), then drain the
+        // Phase 2: step the timing engine over the block, then drain the
         // block-local telemetry (if engaged) in one merge.
         if block_tlm {
-            step_block::<E, P, true>(
-                &mut engine,
-                l1,
-                lower,
-                &block,
-                &xbuf,
-                staging,
-                &mut preds,
-                &mut blk,
-            );
+            step_block::<E, P, true>(&mut engine, l1, lower, &block, &xbuf, &mut blk);
             l1.flush_block_telemetry(&mut blk);
         } else {
-            step_block::<E, P, false>(
-                &mut engine,
-                l1,
-                lower,
-                &block,
-                &xbuf,
-                staging,
-                &mut preds,
-                &mut blk,
-            );
+            step_block::<E, P, false>(&mut engine, l1, lower, &block, &xbuf, &mut blk);
         }
     }
     Ok(engine.result())
@@ -433,58 +301,26 @@ fn replay_mono<E: BlockEngine, P: PolicyTag>(
 /// selects block-local telemetry accumulation at compile time, so the
 /// per-access path carries no telemetry-mode branch in either instance.
 #[inline]
-#[allow(clippy::too_many_arguments)] // the phase-2 kernel entry: every argument is distinct per-block state
 fn step_block<E: BlockEngine, P: PolicyTag, const BLK_TLM: bool>(
     engine: &mut E,
     l1: &mut SiptL1,
     lower: &mut LowerHierarchy<Dram>,
     block: &InstBlock<'_>,
     xbuf: &[TlbOutcome],
-    staging: bool,
-    preds: &mut BlockPredictions,
     blk: &mut BlockTelemetry,
 ) {
-    let meta = block.meta;
     let mut mem_idx = 0usize;
-    let mut stage_next = 0usize;
-    let mut i = 0usize;
-    while i < meta.len() {
-        if !meta_has_mem(meta[i]) {
-            // A run of non-memory instructions. Long runs go to the
-            // engine as a slice, which fast-forwards eligible chunks in
-            // closed form and replays the rest exactly; short runs (the
-            // common case between memory ops) step inline — the slice
-            // hand-off's bookkeeping costs more than it can save below
-            // the fast-path's own minimum run length.
-            let start = i;
-            i += 1;
-            while i < meta.len() && !meta_has_mem(meta[i]) {
-                i += 1;
-            }
-            let run = &meta[start..i];
-            if run.len() >= RUN_FAST_MIN {
-                engine.step_run(run);
-            } else {
-                for &m in run {
-                    let (dst, srcs, _, exec_latency) = unpack_meta_fields(m);
-                    engine.step_inst(dst, srcs, None, exec_latency, |_| -> MemResponse {
-                        unreachable!("non-memory instruction")
-                    });
-                }
-            }
+    for (&meta, &pc) in block.meta.iter().zip(block.pcs) {
+        let (dst, srcs, mem_store, exec_latency) = unpack_meta_fields(meta);
+        let Some(is_store) = mem_store else {
+            engine.step_inst(dst, srcs, None, exec_latency, |_| -> MemResponse {
+                unreachable!("non-memory instruction")
+            });
             continue;
-        }
-        let (dst, srcs, mem_store, exec_latency) = unpack_meta_fields(meta[i]);
-        let is_store = mem_store.expect("meta_has_mem guarantees a memory op");
-        let pc = block.pcs[i];
+        };
         let va = VirtAddr::new(block.mem_vas[mem_idx]);
         let outcome = xbuf[mem_idx];
-        if staging && mem_idx == stage_next {
-            stage_next = stage_window(l1, block, xbuf, i, mem_idx, preds);
-        }
-        let staged = preds.get(mem_idx);
         mem_idx += 1;
-        i += 1;
         engine.step_inst(dst, srcs, Some(is_store), exec_latency, |now| {
             let access = if BLK_TLM {
                 l1.access_mono_block::<P>(
@@ -493,18 +329,10 @@ fn step_block<E: BlockEngine, P: PolicyTag, const BLK_TLM: bool>(
                     outcome.translation,
                     outcome.cycles,
                     is_store,
-                    staged,
                     blk,
                 )
             } else {
-                l1.access_mono_staged::<P>(
-                    pc,
-                    va,
-                    outcome.translation,
-                    outcome.cycles,
-                    is_store,
-                    staged,
-                )
+                l1.access_mono::<P>(pc, va, outcome.translation, outcome.cycles, is_store)
             };
             let mut latency = access.latency;
             if !access.hit {
@@ -521,47 +349,6 @@ fn step_block<E: BlockEngine, P: PolicyTag, const BLK_TLM: bool>(
         });
     }
     debug_assert_eq!(mem_idx, xbuf.len(), "every memory VA consumed");
-}
-
-/// Memory accesses staged per window. Sized so the scratch (stamps +
-/// records + gathered PCs/outcomes) stays L1-cache-resident next to the
-/// block's SoA arrays, and so stamp invalidation — which only has to
-/// cover trainings *within* the window, because the bank is exactly
-/// current at each window start — voids few staged sums.
-const STAGE_WINDOW: usize = 64;
-
-/// Stage the next window of memory accesses starting at instruction
-/// `inst_idx` (block-level memory-access index `mem_idx`): gather up to
-/// [`STAGE_WINDOW`] (pc, unchanged) pairs ahead of the timing cursor and
-/// sweep them through the fused predictor bank. Returns the block-level
-/// access index at which the following window begins.
-fn stage_window(
-    l1: &SiptL1,
-    block: &InstBlock<'_>,
-    xbuf: &[TlbOutcome],
-    inst_idx: usize,
-    mem_idx: usize,
-    preds: &mut BlockPredictions,
-) -> usize {
-    let spec_bits = l1.speculative_bits();
-    let meta = block.meta;
-    let mut pcs = [0u64; STAGE_WINDOW];
-    let mut unchanged = [false; STAGE_WINDOW];
-    let mut n = 0usize;
-    let mut mi = mem_idx;
-    let mut i = inst_idx;
-    while n < STAGE_WINDOW && i < meta.len() {
-        if meta_has_mem(meta[i]) {
-            pcs[n] = block.pcs[i];
-            let va = VirtAddr::new(block.mem_vas[mi]);
-            unchanged[n] = xbuf[mi].translation.index_bits_unchanged(va, spec_bits);
-            mi += 1;
-            n += 1;
-        }
-        i += 1;
-    }
-    l1.stage_block(&pcs[..n], &unchanged[..n], mem_idx, preds);
-    mem_idx + n
 }
 
 #[cfg(test)]
@@ -586,12 +373,13 @@ mod tests {
         asp: AddressSpace,
         trace: &MaterializedTrace,
         warmup: usize,
+        batch: usize,
     ) -> (CoreResult, Machine) {
         let mut machine = Machine::new(asp, l1, system);
         let mut cursor = trace.cursor();
-        replay(system, &mut machine, &mut cursor, warmup, "test").unwrap();
+        replay(system, &mut machine, &mut cursor, warmup, batch, "test").unwrap();
         machine.reset_stats();
-        let core = replay(system, &mut machine, &mut cursor, usize::MAX, "test").unwrap();
+        let core = replay(system, &mut machine, &mut cursor, usize::MAX, batch, "test").unwrap();
         (core, machine)
     }
 
@@ -629,25 +417,15 @@ mod tests {
             let (ref_core, ref_machine) =
                 run_per_access(system, l1.clone(), asp_ref, &trace, 3_000);
             for batch in [1usize, 7, 256] {
-                for batching in [true, false] {
-                    set_replay_batch(batch);
-                    set_tlb_batch(batching);
-                    let (asp, trace2) = prepared("mcf", 12_000);
-                    assert_eq!(trace2, trace, "preparation is deterministic");
-                    let (core, machine) = run_block(system, l1.clone(), asp, &trace2, 3_000);
-                    let tag = format!("{system:?}/{policy:?} batch {batch} tlb_batch {batching}");
-                    assert_eq!(core, ref_core, "{tag}");
-                    assert_eq!(machine.l1().stats(), ref_machine.l1().stats(), "{tag}");
-                    assert_eq!(machine.tlb().stats(), ref_machine.tlb().stats(), "{tag}");
-                    assert_eq!(
-                        machine.lower().llc_stats(),
-                        ref_machine.lower().llc_stats(),
-                        "{tag}"
-                    );
-                }
+                let (asp, trace2) = prepared("mcf", 12_000);
+                assert_eq!(trace2, trace, "preparation is deterministic");
+                let (core, machine) = run_block(system, l1.clone(), asp, &trace2, 3_000, batch);
+                let tag = format!("{system:?}/{policy:?} batch {batch}");
+                assert_eq!(core, ref_core, "{tag}");
+                assert_eq!(machine.l1().stats(), ref_machine.l1().stats(), "{tag}");
+                assert_eq!(machine.tlb().stats(), ref_machine.tlb().stats(), "{tag}");
+                assert_eq!(machine.lower().llc_stats(), ref_machine.lower().llc_stats(), "{tag}");
             }
-            set_replay_batch(DEFAULT_REPLAY_BATCH);
-            set_tlb_batch(true);
         }
     }
 
@@ -673,11 +451,14 @@ mod tests {
         let (asp, trace) = prepared("sjeng", 500);
         let mut machine = Machine::new(asp, sipt_32k_2w(), SystemKind::OooThreeLevel);
         let mut cursor = trace.cursor();
-        let core = replay(SystemKind::OooThreeLevel, &mut machine, &mut cursor, 0, "test").unwrap();
+        let system = SystemKind::OooThreeLevel;
+        let core =
+            replay(system, &mut machine, &mut cursor, 0, DEFAULT_REPLAY_BATCH, "test").unwrap();
         assert_eq!(core.instructions, 0);
         // The cursor did not advance: a full drain still sees everything.
-        let rest = replay(SystemKind::OooThreeLevel, &mut machine, &mut cursor, usize::MAX, "test")
-            .unwrap();
+        let rest =
+            replay(system, &mut machine, &mut cursor, usize::MAX, DEFAULT_REPLAY_BATCH, "test")
+                .unwrap();
         assert_eq!(rest.instructions, 500);
     }
 
@@ -688,13 +469,5 @@ mod tests {
         set_replay_batch(0); // clears the override back to env/default
         set_replay_batch(DEFAULT_REPLAY_BATCH);
         assert_eq!(replay_batch(), DEFAULT_REPLAY_BATCH);
-    }
-
-    #[test]
-    fn tlb_batch_override_wins_over_env() {
-        set_tlb_batch(false);
-        assert!(!tlb_batch_enabled());
-        set_tlb_batch(true);
-        assert!(tlb_batch_enabled());
     }
 }

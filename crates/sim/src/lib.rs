@@ -35,10 +35,7 @@ pub mod supervisor;
 pub mod sweep;
 pub mod wire;
 
-pub use block::{
-    predictor_stage_enabled, replay_batch, replay_trace, set_predictor_stage, set_replay_batch,
-    set_tlb_batch, tlb_batch_enabled, DEFAULT_REPLAY_BATCH,
-};
+pub use block::{replay_batch, replay_trace, set_replay_batch, DEFAULT_REPLAY_BATCH};
 pub use error::SimError;
 pub use machine::{Machine, SystemKind};
 pub use metrics::{
@@ -49,8 +46,7 @@ pub use multicore::{run_mix, MixMetrics};
 pub use prep_cache::{PrepCacheStats, PreparedMix, PreparedMixCore, PreparedWorkload};
 pub use resilience::{TaskFailure, WatchdogFlag};
 pub use runner::{
-    run_benchmark, run_spec, run_spec_per_access, speculation_profile, try_run_benchmark,
-    Condition, SpeculationProfile,
+    run_benchmark, run_spec, speculation_profile, try_run_benchmark, Condition, SpeculationProfile,
 };
 pub use supervisor::{install_drain_handlers, set_isolation, supervisor_json, Isolation};
 pub use sweep::{

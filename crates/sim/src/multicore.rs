@@ -123,11 +123,13 @@ fn run_mix_core(prep: &PreparedMixCore, l1: L1Config, cond: &Condition) -> RunMe
     let mut machine = Machine::new_shared(Arc::clone(&prep.asp), l1, SystemKind::OooThreeLevel);
     let allocated = Instant::now();
     let mut cursor = prep.trace.cursor();
+    let batch = crate::block::replay_batch();
     crate::block::replay(
         SystemKind::OooThreeLevel,
         &mut machine,
         &mut cursor,
         cond.warmup as usize,
+        batch,
         &prep.app,
     )
     .unwrap_or_else(|e| panic!("{e}"));
@@ -138,6 +140,7 @@ fn run_mix_core(prep: &PreparedMixCore, l1: L1Config, cond: &Condition) -> RunMe
         &mut machine,
         &mut cursor,
         usize::MAX,
+        batch,
         &prep.app,
     )
     .unwrap_or_else(|e| panic!("{e}"));

@@ -257,6 +257,13 @@ impl PrepCache {
         ])
     }
 
+    /// Add lookups made elsewhere to this cache's counters: a
+    /// process-isolation supervisor folds in what its workers report.
+    pub fn add_counts(&self, hits: u64, misses: u64) {
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
+    }
+
     /// Drop all entries and zero the counters. The enable switch is kept.
     pub fn clear(&self) {
         *self.singles.lock().unwrap_or_else(PoisonError::into_inner) = CacheState::default();
@@ -367,6 +374,12 @@ pub fn stats() -> PrepCacheStats {
 /// (schema v4), from the process-wide cache.
 pub fn stats_json() -> Json {
     global().stats_json()
+}
+
+/// Add a worker process's lookups to the process-wide counters (see
+/// [`PrepCache::add_counts`]). Entries stay the parent's own.
+pub fn add_counts(hits: u64, misses: u64) {
+    global().add_counts(hits, misses);
 }
 
 /// Drop all entries of the process-wide cache and zero its counters

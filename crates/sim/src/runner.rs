@@ -18,7 +18,7 @@ use crate::error::SimError;
 use crate::machine::{Machine, SystemKind};
 use crate::metrics::{PhaseProfile, RunMetrics};
 use sipt_core::L1Config;
-use sipt_cpu::{simulate_inorder, simulate_ooo, CoreResult, InOrderConfig, OooConfig};
+use sipt_cpu::CoreResult;
 use sipt_mem::{fragment_memory, AddressSpace, BuddyAllocator, PlacementPolicy, TranslationCache};
 use sipt_rng::{SeedableRng, StdRng};
 use sipt_telemetry::Span;
@@ -253,38 +253,7 @@ pub(crate) fn try_run_spec_with_trace_capacity(
     cond: &Condition,
     trace_events: usize,
 ) -> Result<RunMetrics, SimError> {
-    try_run_prepared(spec, l1, system, cond, trace_events, ReplayKernel::Block)
-}
-
-/// Which replay loop executes the warmup/measure phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReplayKernel {
-    /// The block-replay kernel ([`crate::block`]) — the production path.
-    Block,
-    /// The original per-access loop over [`sipt_cpu::Inst`] values —
-    /// kept as the independent reference the differential tests compare
-    /// the block kernel against.
-    PerAccess,
-}
-
-/// [`try_run_spec`] forced onto the per-access reference loop. Same
-/// inputs, same validation, bit-identical outputs — exists so tests can
-/// diff the block kernel against an implementation that shares none of
-/// its batching, coalescing, or monomorphization machinery.
-///
-/// # Errors
-///
-/// As [`try_run_spec`], plus [`SimError::Trace`] when the workload's
-/// stream references unmapped memory.
-pub fn run_spec_per_access(
-    spec: &WorkloadSpec,
-    l1: L1Config,
-    system: SystemKind,
-    cond: &Condition,
-) -> Result<RunMetrics, SimError> {
-    l1.try_validate().map_err(SimError::config)?;
-    cond.validate()?;
-    try_run_prepared(spec, l1, system, cond, trace_capacity(), ReplayKernel::PerAccess)
+    try_run_prepared(spec, l1, system, cond, trace_events)
 }
 
 fn try_run_prepared(
@@ -293,7 +262,6 @@ fn try_run_prepared(
     system: SystemKind,
     cond: &Condition,
     trace_events: usize,
-    kernel: ReplayKernel,
 ) -> Result<RunMetrics, SimError> {
     let t0 = Instant::now();
     let (prepared, mut machine) = {
@@ -307,24 +275,13 @@ fn try_run_prepared(
     };
     let allocated = Instant::now();
 
-    // One replay phase: `limit` instructions through the selected kernel.
-    // The per-access loop keeps the timing model alive across an unmapped
-    // VA (the machine latches the fault), so it is checked after the run;
-    // the block kernel surfaces the fault directly.
+    // One replay phase: `limit` instructions through the block kernel.
+    let batch = crate::block::replay_batch();
     let run_phase = |machine: &mut Machine,
                      cursor: &mut sipt_workloads::TraceCursor<'_>,
                      limit: usize|
      -> Result<sipt_cpu::CoreResult, SimError> {
-        match kernel {
-            ReplayKernel::Block => crate::block::replay(system, machine, cursor, limit, spec.name),
-            ReplayKernel::PerAccess => {
-                let core = run_core(system, (&mut *cursor).take(limit), machine);
-                match machine.take_fault() {
-                    None => Ok(core),
-                    Some(fault) => Err(SimError::trace(spec.name, fault.to_string())),
-                }
-            }
-        }
+        crate::block::replay(system, machine, cursor, limit, batch, spec.name)
     };
 
     let mut cursor = prepared.trace.cursor();
@@ -361,11 +318,15 @@ fn try_run_prepared(
     Ok(metrics)
 }
 
-/// Execute a trace on the system's core model.
+/// Execute a trace on the system's core model through the per-access
+/// [`sipt_cpu::MemoryPath`] surface of [`Machine`]: the independent
+/// reference the block kernel's differential test compares against.
+#[cfg(test)]
 pub(crate) fn run_core<I>(system: SystemKind, trace: I, machine: &mut Machine) -> CoreResult
 where
     I: IntoIterator<Item = sipt_cpu::Inst>,
 {
+    use sipt_cpu::{simulate_inorder, simulate_ooo, InOrderConfig, OooConfig};
     match system {
         SystemKind::OooThreeLevel => simulate_ooo(OooConfig::default(), trace, machine),
         SystemKind::InOrderTwoLevel => simulate_inorder(InOrderConfig::default(), trace, machine),

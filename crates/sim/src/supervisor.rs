@@ -271,9 +271,19 @@ pub(crate) fn run_worker_shard(
         }
     });
 
+    // The shard's own preparation-cache lookups, reported when it ends.
+    let prep_start = crate::prep_cache::stats();
+    let emit_prep_counts = || {
+        let now = crate::prep_cache::stats();
+        emit(&WorkerMsg::PrepCache {
+            hits: now.hits.saturating_sub(prep_start.hits),
+            misses: now.misses.saturating_sub(prep_start.misses),
+        });
+    };
     let attempts = resilience::task_retries() + 1;
     for (completed, &slot) in shard.slots.iter().enumerate() {
         if sipt_signal::drain_requested() {
+            emit_prep_counts();
             emit(&WorkerMsg::Drained { completed });
             std::process::exit(0);
         }
@@ -336,6 +346,7 @@ pub(crate) fn run_worker_shard(
             }
         }
     }
+    emit_prep_counts();
     std::process::exit(0);
 }
 
@@ -870,6 +881,7 @@ fn handle_event(
     match msg {
         WorkerMsg::Hello { .. } => worker.hello_seen = true,
         WorkerMsg::Heartbeat => with_stats(|s| s.heartbeats += 1),
+        WorkerMsg::PrepCache { hits, misses } => crate::prep_cache::add_counts(hits, misses),
         WorkerMsg::Start { slot } => worker.inflight = Some((slot, Instant::now())),
         WorkerMsg::Done { slot, fingerprint, metrics } => {
             let busy = worker

@@ -17,6 +17,7 @@
 //! @sipt1 done <slot> <fingerprint:016x> <metrics-hex>
 //! @sipt1 fail <slot> <attempts> <elapsed_ms-bits:016x> <message-hex>
 //! @sipt1 hb
+//! @sipt1 prep <hits> <misses>
 //! @sipt1 drained <completed>
 //! ```
 //!
@@ -25,7 +26,10 @@
 //! encoded — the same bit-exact representation `--resume` relies on, so
 //! merged sharded results are byte-identical to in-process execution by
 //! construction. Free-text fields (panic messages) are hex encoded too:
-//! the line framing never depends on their content.
+//! the line framing never depends on their content. `prep` carries the
+//! worker's preparation-cache lookups for its shard, sent once when the
+//! shard ends (before `drained` on a drain), so the parent's report
+//! counts the preparation its workers did.
 //!
 //! The supervisor's only downstream channel is the worker's stdin, with a
 //! single command: [`DRAIN_COMMAND`] (one line) asks the worker to finish
@@ -81,6 +85,14 @@ pub enum WorkerMsg {
     },
     /// Liveness beacon (emitted periodically from a side thread).
     Heartbeat,
+    /// The worker's preparation-cache lookups over its shard, sent once
+    /// when the shard ends.
+    PrepCache {
+        /// Lookups that found an existing entry.
+        hits: u64,
+        /// Lookups that prepared a new entry.
+        misses: u64,
+    },
     /// Graceful drain acknowledged: the worker flushed `completed` slots
     /// and is exiting cleanly.
     Drained {
@@ -117,6 +129,7 @@ impl WorkerMsg {
                 hex_encode(message.as_bytes())
             ),
             WorkerMsg::Heartbeat => format!("{SENTINEL} hb"),
+            WorkerMsg::PrepCache { hits, misses } => format!("{SENTINEL} prep {hits} {misses}"),
             WorkerMsg::Drained { completed } => format!("{SENTINEL} drained {completed}"),
         }
     }
@@ -147,6 +160,10 @@ impl WorkerMsg {
                 message: String::new(),
             }),
             ["hb"] => Some(WorkerMsg::Heartbeat),
+            ["prep", hits, misses] => Some(WorkerMsg::PrepCache {
+                hits: hits.parse().ok()?,
+                misses: misses.parse().ok()?,
+            }),
             ["drained", completed] => {
                 Some(WorkerMsg::Drained { completed: completed.parse().ok()? })
             }
@@ -198,6 +215,8 @@ mod tests {
             message: "injected fault: panic at task 9 (attempt 1)\nwith newline".into(),
         });
         roundtrip(WorkerMsg::Heartbeat);
+        roundtrip(WorkerMsg::PrepCache { hits: 20, misses: 4 });
+        roundtrip(WorkerMsg::PrepCache { hits: 0, misses: u64::MAX });
         roundtrip(WorkerMsg::Drained { completed: 4 });
     }
 
@@ -224,6 +243,11 @@ mod tests {
             "@sipt1 done 1 ffff zz",
             "@sipt1 explode 3",
             "@sipt1 fail 1 2 0 oddhex1",
+            "@sipt1 prep",
+            "@sipt1 prep 3",
+            "@sipt1 prep 3 -1",
+            "@sipt1 prep x 4",
+            "@sipt1 prep 3 4 5",
         ] {
             assert!(
                 matches!(parse_line(line), Parsed::Malformed(_)),

@@ -159,62 +159,6 @@ struct TlbEntry {
     first_pfn: u64,
 }
 
-/// Sentinel key marking an unknown guard slot. Real page numbers cannot
-/// reach it: a 4 KiB VPN is a `u64` shifted right by 12.
-const GUARD_EMPTY: u64 = u64::MAX;
-
-/// Reusable scratch for [`DataTlb::translate_batched`]: one MRU guard
-/// slot per L1 set of each granularity.
-///
-/// A slot holding `(page, first_pfn)` asserts that `page`'s entry is the
-/// most-recently-used way of that L1 set. Under that condition, repeating
-/// the full [`DataTlb::translate_with`] lookup would merely refresh an
-/// already-maximal timestamp — no replacement decision anywhere can
-/// change (eviction compares timestamps only *within* a set, and the
-/// shared clock stays strictly increasing) — so the outcome can be
-/// rebuilt from the cached `first_pfn` and only the L1-hit statistic
-/// needs counting. This generalizes [`DataTlb::translate_repeat`]'s
-/// consecutive-run argument to *every* page whose entry is still set-MRU,
-/// which is what makes per-block batching effective on interleaved
-/// streams: each unique VPN is resolved through the full structures once
-/// and then served from its guard until another page displaces it from
-/// MRU position in the same set.
-///
-/// The scratch is invalidated by anything that mutates TLB contents
-/// outside [`DataTlb::translate_batched`] (e.g. [`DataTlb::flush`]) —
-/// create a fresh one per replay.
-#[derive(Debug, Clone)]
-pub struct TlbBatch {
-    /// `(vpn, first_pfn)` per `l1_base` set.
-    base_guard: Box<[(u64, u64)]>,
-    /// `(huge_page, first_pfn)` per `l1_huge` set.
-    huge_guard: Box<[(u64, u64)]>,
-}
-
-impl TlbBatch {
-    /// Create guard tables sized for `tlb`'s L1 geometry, all-unknown.
-    pub fn for_tlb(tlb: &DataTlb) -> Self {
-        let base_sets = tlb.config.l1_base_entries / tlb.config.l1_ways;
-        let huge_sets = tlb.config.l1_huge_entries / tlb.config.l1_ways;
-        Self {
-            base_guard: vec![(GUARD_EMPTY, 0); base_sets].into_boxed_slice(),
-            huge_guard: vec![(GUARD_EMPTY, 0); huge_sets].into_boxed_slice(),
-        }
-    }
-
-    /// The guard slot for a page-number key, mirroring
-    /// [`lru::LruSetAssoc`]'s hash→set mapping exactly (that mapping is
-    /// simulated behaviour; the guards must agree with it or they would
-    /// describe the wrong set).
-    #[inline]
-    fn slot_of(key: u64, sets: usize) -> usize {
-        let h = lru::siphash13_u64(key);
-        let sets = sets as u64;
-        let set = if sets.is_power_of_two() { h & (sets - 1) } else { h % sets };
-        set as usize
-    }
-}
-
 /// The two-level data TLB.
 #[derive(Debug, Clone)]
 pub struct DataTlb {
@@ -336,81 +280,6 @@ impl DataTlb {
             level: TlbHitLevel::L1,
             cycles: self.config.l1_latency,
         }
-    }
-
-    /// Like [`DataTlb::translate_with`], accelerated by the per-set MRU
-    /// guards in `batch`. Bit-identical to the plain path — outcomes,
-    /// statistics, and every future replacement decision — see
-    /// [`TlbBatch`] for the argument; `batched_translation_is_bit_identical`
-    /// pins it differentially.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PageFault`] when `walk` yields no translation; the fault
-    /// is also counted in [`TlbStats::faults`].
-    #[inline]
-    pub fn translate_batched(
-        &mut self,
-        batch: &mut TlbBatch,
-        va: VirtAddr,
-        walk: impl FnOnce(VirtAddr) -> Option<Translation>,
-    ) -> Result<TlbOutcome, PageFault> {
-        let vpn = VirtPageNum::containing(va);
-        let vraw = vpn.raw();
-        let base_slot = TlbBatch::slot_of(vraw, batch.base_guard.len());
-        let (guard_vpn, guard_pfn) = batch.base_guard[base_slot];
-        if guard_vpn == vraw {
-            // The page's 4 KiB entry is set-MRU: the reference path would
-            // hit l1_base and refresh an already-maximal timestamp.
-            self.stats.l1_hits += 1;
-            return Ok(TlbOutcome {
-                translation: Self::materialize(va, vpn, guard_pfn, PageSize::Base4K),
-                level: TlbHitLevel::L1,
-                cycles: self.config.l1_latency,
-            });
-        }
-        let huge_page = vraw / PAGES_PER_HUGE_PAGE;
-        let huge_slot = TlbBatch::slot_of(huge_page, batch.huge_guard.len());
-        let (guard_huge, guard_pfn) = batch.huge_guard[huge_slot];
-        if guard_huge == huge_page {
-            // The reference path probes l1_base *first*. A consistent page
-            // table cannot map a 4 KiB page inside a huge-mapped region,
-            // but replicate the probe order defensively so equivalence
-            // never rests on that assumption. (A miss only advances the
-            // clock, which is unobservable; see `translate_repeat`.)
-            if let Some(entry) = self.l1_base.get(&vraw).copied() {
-                batch.base_guard[base_slot] = (vraw, entry.first_pfn);
-                self.stats.l1_hits += 1;
-                return Ok(TlbOutcome {
-                    translation: Self::materialize(va, vpn, entry.first_pfn, PageSize::Base4K),
-                    level: TlbHitLevel::L1,
-                    cycles: self.config.l1_latency,
-                });
-            }
-            self.stats.l1_hits += 1;
-            return Ok(TlbOutcome {
-                translation: Self::materialize(va, vpn, guard_pfn, PageSize::Huge2M),
-                level: TlbHitLevel::L1,
-                cycles: self.config.l1_latency,
-            });
-        }
-        // Guard miss: full reference lookup, then install the guard of the
-        // resolved granularity — whichever path satisfied it (L1 hit, L2
-        // refill, walk), the entry is now MRU of exactly one L1 set, and
-        // that set's previous guard occupant (if any) was displaced from
-        // MRU by the same operation. The other granularity's structures
-        // saw at most probe misses, which mutate nothing.
-        let out = self.translate_with(va, walk)?;
-        match out.translation.page_size {
-            PageSize::Base4K => {
-                batch.base_guard[base_slot] = (vraw, out.translation.pfn.raw());
-            }
-            PageSize::Huge2M => {
-                let first_pfn = out.translation.pfn.raw() - (vraw % PAGES_PER_HUGE_PAGE);
-                batch.huge_guard[huge_slot] = (huge_page, first_pfn);
-            }
-        }
-        Ok(out)
     }
 
     /// The L1-miss continuation of [`DataTlb::translate_with`], kept out of
@@ -693,81 +562,6 @@ mod tests {
             let b = fast.translate(va, &pt).unwrap();
             assert_eq!(a, b, "post-sweep page {page}");
         }
-    }
-
-    #[test]
-    fn batched_translation_is_bit_identical() {
-        // The per-set MRU guards must be indistinguishable from the plain
-        // path: same outcomes, same statistics, same contents evolution —
-        // under an access mix with page runs, interleaved revisits across
-        // many sets, capacity evictions (260 pages > 64 base entries), and
-        // both granularities. The batched TLB also interleaves the
-        // consecutive-run `translate_repeat` shortcut exactly as the block
-        // kernel does.
-        let mut pt = table_with_pages(256);
-        for i in 0..4u64 {
-            pt.map(
-                VirtPageNum::new((i + 1) * PAGES_PER_HUGE_PAGE),
-                PhysFrameNum::new(4096 + i * PAGES_PER_HUGE_PAGE),
-                PageSize::Huge2M,
-            )
-            .unwrap();
-        }
-        let va_of = |page: u64, off: u64| -> VirtAddr {
-            if page < 256 {
-                VirtAddr::new((page << PAGE_SHIFT) | off)
-            } else {
-                let i = page - 256;
-                let sub = (page * 37) % PAGES_PER_HUGE_PAGE;
-                VirtAddr::new((i + 1) * sipt_mem::HUGE_PAGE_SIZE + (sub << PAGE_SHIFT) + off)
-            }
-        };
-        let mut plain = DataTlb::new(TlbConfig::default());
-        let mut batched = DataTlb::new(TlbConfig::default());
-        let mut batch = TlbBatch::for_tlb(&batched);
-        let mut prev: Option<(u64, TlbOutcome)> = None;
-        for step in 0..12_000u64 {
-            // Page runs of length 3, with run targets scrambled so the
-            // same pages recur at varying distances (guard hits, guard
-            // displacements, and full-path refills all occur).
-            let run = step / 3;
-            let page = (run.wrapping_mul(2654435761) >> 7) % 260;
-            let va = va_of(page, (step % 3) * 0xa8);
-            let vpn = VirtPageNum::containing(va).raw();
-            let a = plain.translate(va, &pt).unwrap();
-            let b = match prev {
-                Some((prev_vpn, ref out)) if prev_vpn == vpn => batched.translate_repeat(out, va),
-                _ => batched.translate_batched(&mut batch, va, |va| pt.translate(va)).unwrap(),
-            };
-            assert_eq!(a, b, "step {step} page {page}");
-            prev = Some((vpn, b));
-        }
-        assert_eq!(plain.stats(), batched.stats());
-        // Contents must have evolved identically: sweep every page once
-        // through the *plain* path on both and require identical levels.
-        for page in 0..260u64 {
-            let va = va_of(page, 0);
-            let a = plain.translate(va, &pt).unwrap();
-            let b = batched.translate(va, &pt).unwrap();
-            assert_eq!(a, b, "post-sweep page {page}");
-        }
-        assert_eq!(plain.stats(), batched.stats());
-    }
-
-    #[test]
-    fn batched_translation_surfaces_faults() {
-        let pt = table_with_pages(1);
-        let mut tlb = DataTlb::new(TlbConfig::default());
-        let mut batch = TlbBatch::for_tlb(&tlb);
-        let err = tlb
-            .translate_batched(&mut batch, VirtAddr::new(0xdead_0000), |va| pt.translate(va))
-            .unwrap_err();
-        assert_eq!(err.va.raw(), 0xdead_0000);
-        assert_eq!(tlb.stats().faults, 1);
-        // A fault mutates no contents, so the guards stay valid: the
-        // mapped page still translates identically afterwards.
-        let ok = tlb.translate_batched(&mut batch, VirtAddr::new(0x10), |va| pt.translate(va));
-        assert_eq!(ok.unwrap().level, TlbHitLevel::Walk);
     }
 
     #[test]
