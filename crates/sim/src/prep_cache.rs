@@ -38,10 +38,17 @@
 //!
 //! Concurrency: the map lock is held only to look up or insert a per-key
 //! cell; preparation itself runs under the cell's own mutex, so workers
-//! preparing *different* workloads proceed in parallel while workers
-//! racing on the *same* workload block until the first finishes. A
-//! panicking preparation poisons only its cell, which is recovered and
-//! retried — one injected fault cannot wedge the cache.
+//! preparing *different* workloads proceed in parallel. A worker that
+//! asks for a workload another worker is still preparing blocks on that
+//! cell until the preparation finishes, and its `prep` span records the
+//! wait as `wait_ms`. The sweep pool makes this rare: it hands every run
+//! of one `(spec, cond)` pair to the worker that prepares it (see
+//! [`crate::sweep`]), so same-key blocking happens only at the sweep
+//! tail, when idle workers steal single runs. The same grouping keeps a
+//! pair resident for all its runs, so a sweep over more pairs than the
+//! capacity still prepares each pair once. A panicking preparation
+//! poisons only its cell, which is recovered and retried — one injected
+//! fault cannot wedge the cache.
 
 use crate::checkpoint::fnv1a64;
 use crate::error::SimError;
@@ -53,7 +60,8 @@ use sipt_workloads::{MaterializedTrace, WorkloadSpec};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
+use std::time::Instant;
 
 /// A fully prepared, immutable, replayable workload: the address space
 /// (page table included) plus the materialized instruction stream
@@ -188,7 +196,16 @@ impl PrepCache {
         // Prepare (or wait for the preparing worker) under the cell's own
         // lock. A poisoned cell means a previous claimant panicked before
         // publishing a result; recover the guard and retry the preparation.
-        let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slot = match cell.try_lock() {
+            Ok(slot) => slot,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                let t0 = Instant::now();
+                let slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
+                span.arg("wait_ms", Json::num(t0.elapsed().as_secs_f64() * 1e3));
+                slot
+            }
+        };
         if let Some(result) = slot.as_ref() {
             return result.clone();
         }

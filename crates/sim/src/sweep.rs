@@ -11,10 +11,20 @@
 //!   every task runs inside `catch_unwind`, a panicking run is captured
 //!   as a structured [`TaskFailure`] (with a bounded retry budget and an
 //!   optional watchdog timeout) and the rest of the sweep completes
-//!   deterministically, in **submission order**;
-//! - [`run_parallel`]: the legacy all-or-nothing front-end (`Vec<T>` out);
-//!   failures are still isolated, recorded and reported — it panics with
-//!   an aggregate summary only *after* every other task has finished;
+//!   deterministically, with results in **submission order**;
+//! - **prep-affine scheduling**: each [`PoolTask`] carries an affinity
+//!   key, and tasks sharing a key form a group that one worker claims
+//!   whole. [`Sweep`] keys its runs by
+//!   [`crate::prep_cache::fingerprint`], so every configuration of one
+//!   `(benchmark, condition)` pair runs back to back on the worker that
+//!   prepared it: the pair is prepared once even when the prep cache is
+//!   smaller than the sweep, and no worker waits on another's
+//!   preparation except at the sweep tail, where idle workers steal
+//!   single tasks to keep every worker busy;
+//! - [`run_parallel`]: the legacy all-or-nothing front-end (`Vec<T>` out,
+//!   one group per task, so first-come scheduling); failures are still
+//!   isolated, recorded and reported — it panics with an aggregate
+//!   summary only *after* every other task has finished;
 //! - [`Sweep`]: a typed builder over [`RunRequest`]s with
 //!   checkpoint/resume: completed task metrics are persisted to
 //!   `results/<name>.checkpoint.json` as they finish and restored
@@ -27,7 +37,8 @@
 //!   writer folds into the `parallelism` block.
 //!
 //! `jobs = 1` is an *exact* serial fallback: no worker threads are
-//! spawned and the tasks run inline on the calling thread, in order.
+//! spawned and the tasks run inline on the calling thread, in prep-group
+//! order, which is submission order for benchmark-major sweeps.
 
 use crate::checkpoint;
 use crate::machine::SystemKind;
@@ -301,12 +312,17 @@ pub(crate) fn is_drain_placeholder(f: &TaskFailure) -> bool {
 
 /// One pool task: a process-global id (assigned at submission via
 /// [`resilience::allocate_task_ids`], so fault injection and failure
-/// reports are deterministic regardless of worker scheduling), a caller
-/// label, and the work itself. The closure receives the executing worker
-/// id; it must be `FnMut` so the retry policy can re-invoke it.
+/// reports are deterministic regardless of worker scheduling), an
+/// affinity key, a caller label, and the work itself. The closure
+/// receives the executing worker id; it must be `FnMut` so the retry
+/// policy can re-invoke it.
 pub struct PoolTask<F> {
     /// Process-global task id.
     pub id: usize,
+    /// Tasks sharing this key form one group, which a worker claims whole
+    /// (see [`run_parallel_isolated`]). [`Sweep`] uses the prep
+    /// fingerprint; distinct keys give plain first-come scheduling.
+    pub affinity: u64,
     /// Caller label for failure reporting.
     pub label: String,
     /// The work. Re-invoked on retry.
@@ -371,9 +387,82 @@ pub(crate) fn execute_attempts<T, F: FnMut(usize) -> T>(
     (Err(failure), busy)
 }
 
+/// The pool's claim queue: task indices grouped by affinity key, groups
+/// in order of first appearance, each group in submission order.
+struct GroupQueue {
+    groups: Vec<Vec<usize>>,
+    claims: Mutex<Claims>,
+}
+
+/// What is left to claim: the unclaimed range `front..back` of every
+/// group, and the first group no worker has claimed yet.
+struct Claims {
+    ranges: Vec<(usize, usize)>,
+    fresh: usize,
+}
+
+impl GroupQueue {
+    fn new(keys: impl IntoIterator<Item = u64>) -> Self {
+        let mut group_of: std::collections::HashMap<u64, usize> = Default::default();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (i, key) in keys.into_iter().enumerate() {
+            let g = *group_of.entry(key).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push(i);
+        }
+        let ranges = groups.iter().map(|g| (0, g.len())).collect();
+        Self { groups, claims: Mutex::new(Claims { ranges, fresh: 0 }) }
+    }
+
+    /// The next task index for a worker that owns group `own`: the front
+    /// of its own group while it has unclaimed tasks, else the front of
+    /// the next fresh group (which it then owns), else one task stolen
+    /// from the back of the group with the most unclaimed tasks (lowest
+    /// group on ties). `None` once every task is claimed.
+    fn claim(&self, own: &mut Option<usize>) -> Option<usize> {
+        let mut claims = self.claims.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let owned = own.filter(|&g| claims.ranges[g].0 < claims.ranges[g].1);
+        let g = match owned {
+            Some(g) => g,
+            None if claims.fresh < self.groups.len() => {
+                claims.fresh += 1;
+                *own = Some(claims.fresh - 1);
+                claims.fresh - 1
+            }
+            None => {
+                *own = None;
+                let ranges = &mut claims.ranges;
+                let g = (0..ranges.len())
+                    .max_by_key(|&g| (ranges[g].1 - ranges[g].0, std::cmp::Reverse(g)))?;
+                let range = &mut ranges[g];
+                if range.0 == range.1 {
+                    return None;
+                }
+                range.1 -= 1;
+                return Some(self.groups[g][range.1]);
+            }
+        };
+        let range = &mut claims.ranges[g];
+        range.0 += 1;
+        Some(self.groups[g][range.0 - 1])
+    }
+}
+
 /// Run independent tasks on a scoped worker pool with panic isolation and
 /// return their outcomes in **submission order** together with the
 /// parallelism profile.
+///
+/// Tasks are scheduled by [`PoolTask::affinity`]: tasks sharing a key
+/// form a group, and groups are ordered by first appearance. A worker
+/// claims the next fresh group whole and runs its tasks in submission
+/// order; only when no fresh group is left does it steal single tasks
+/// from the group with the most unclaimed tasks, so the tail stays
+/// balanced and a sweep with fewer groups than workers still uses every
+/// worker. Task ids, retries, the watchdog, drain placeholders,
+/// [`ParallelismProfile::assigned_worker`] and result slots are all per
+/// task, whatever order the tasks ran in.
 ///
 /// Each task runs inside `catch_unwind` with up to `max_attempts`
 /// executions; a task that panics on every attempt yields
@@ -383,7 +472,8 @@ pub(crate) fn execute_attempts<T, F: FnMut(usize) -> T>(
 /// flags (or, with `SIPT_WATCHDOG_KILL=1`, aborts on) overrunning tasks.
 ///
 /// `jobs <= 1` (or a single task) is an exact serial fallback: everything
-/// runs inline on the calling thread, in order, with no pool. Results are
+/// runs inline on the calling thread with no pool, in prep-group order,
+/// which is submission order for benchmark-major sweeps. Results are
 /// identical either way because each task is an independent pure function
 /// — the pool only changes *when* a task runs, never its inputs.
 pub fn run_parallel_isolated<T, F>(
@@ -400,98 +490,72 @@ where
     let jobs = jobs.max(1).min(n.max(1));
     let wall = Instant::now();
 
-    if jobs <= 1 {
-        let watchdog = Watchdog::start(1);
-        let slots = Arc::clone(&watchdog.slots);
-        let mut results = Vec::with_capacity(n);
-        // The inline loop *is* the worker: its whole duration is busy
-        // time (per-attempt timing still feeds failure reports).
-        let loop_start = Instant::now();
-        for mut entry in tasks {
-            // Graceful drain: stop claiming new work, fill the remaining
-            // slots with drain placeholders (the caller exits through the
-            // drain path, never treating them as results).
-            if sipt_signal::drain_requested() {
-                results.push(Err(drain_placeholder(entry.id)));
-                continue;
-            }
-            Watchdog::begin(&slots, 0, entry.id);
-            let (result, _task_busy) =
-                execute_attempts(entry.id, &entry.label, 0, max_attempts, &mut entry.task);
-            Watchdog::finish(&slots, 0);
-            results.push(result);
-        }
-        let busy = loop_start.elapsed().as_secs_f64() * 1e3;
-        watchdog.stop();
-        let profile = ParallelismProfile {
-            jobs: 1,
-            tasks: n,
-            wall_ms: wall.elapsed().as_secs_f64() * 1e3,
-            worker_busy_ms: vec![busy],
-            assigned_worker: vec![0; n],
-        };
-        record_profile(&profile);
-        return (results, profile);
-    }
-
-    // Work-stealing-by-index: each slot is claimed exactly once via the
-    // shared counter, and each outcome lands in its submission slot, so
-    // output order is independent of completion order.
+    // Each slot is claimed exactly once through the queue, and each
+    // outcome lands in its submission slot, so output order is
+    // independent of execution order.
+    let queue = GroupQueue::new(tasks.iter().map(|t| t.affinity));
     let ids: Vec<usize> = tasks.iter().map(|t| t.id).collect();
     let task_cells: Vec<Mutex<Option<(String, F)>>> =
         tasks.into_iter().map(|t| Mutex::new(Some((t.label, t.task)))).collect();
     let result_cells: Vec<Mutex<Option<Result<T, TaskFailure>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let assigned: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-    let busy: Vec<Mutex<f64>> = (0..jobs).map(|_| Mutex::new(0.0)).collect();
-    let next = AtomicUsize::new(0);
     let watchdog = Watchdog::start(jobs);
 
-    std::thread::scope(|scope| {
-        for (worker, busy_cell) in busy.iter().enumerate() {
-            let task_cells = &task_cells;
-            let result_cells = &result_cells;
-            let assigned = &assigned;
-            let ids = &ids;
-            let next = &next;
-            let slots = Arc::clone(&watchdog.slots);
-            scope.spawn(move || {
-                // Claim a stable trace track: tid 0 is the orchestrator,
-                // workers are 1..=jobs regardless of OS thread identity.
-                span::set_virtual_tid(worker as u32 + 1, &format!("worker {worker}"));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // Graceful drain: in-flight tasks finish (they hold
-                    // earlier indices), unclaimed slots become drain
-                    // placeholders so every result cell is still filled.
-                    if sipt_signal::drain_requested() {
-                        *result_cells[i]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner) =
-                            Some(Err(drain_placeholder(ids[i])));
-                        continue;
-                    }
-                    let (label, mut task) = task_cells[i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .take()
-                        .expect("task claimed twice");
-                    Watchdog::begin(&slots, worker, ids[i]);
-                    let (result, task_busy) =
-                        execute_attempts(ids[i], &label, worker, max_attempts, &mut task);
-                    Watchdog::finish(&slots, worker);
-                    *busy_cell.lock().unwrap_or_else(std::sync::PoisonError::into_inner) +=
-                        task_busy;
-                    assigned[i].store(worker, Ordering::Relaxed);
-                    *result_cells[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                        Some(result);
-                }
-            });
+    // One worker's claim loop; returns its busy milliseconds (time inside
+    // tasks, failed attempts included).
+    let run_worker = |worker: usize| -> f64 {
+        let mut own = None;
+        let mut busy = 0.0;
+        while let Some(i) = queue.claim(&mut own) {
+            // Graceful drain: in-flight tasks finish, unclaimed slots
+            // become drain placeholders so every result cell is still
+            // filled (the caller exits through the drain path, never
+            // treating them as results).
+            let result = if sipt_signal::drain_requested() {
+                Err(drain_placeholder(ids[i]))
+            } else {
+                let (label, mut task) = task_cells[i]
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .take()
+                    .expect("task claimed twice");
+                Watchdog::begin(&watchdog.slots, worker, ids[i]);
+                let (result, task_busy) =
+                    execute_attempts(ids[i], &label, worker, max_attempts, &mut task);
+                Watchdog::finish(&watchdog.slots, worker);
+                busy += task_busy;
+                assigned[i].store(worker, Ordering::Relaxed);
+                result
+            };
+            *result_cells[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
+                Some(result);
         }
-    });
+        busy
+    };
+
+    let worker_busy_ms: Vec<f64> = if jobs <= 1 {
+        // The calling thread *is* the worker: the whole call is busy
+        // time (per-attempt timing still feeds failure reports).
+        run_worker(0);
+        vec![wall.elapsed().as_secs_f64() * 1e3]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..jobs)
+                .map(|worker| {
+                    let run_worker = &run_worker;
+                    scope.spawn(move || {
+                        // Claim a stable trace track: tid 0 is the
+                        // orchestrator, workers are 1..=jobs regardless of
+                        // OS thread identity.
+                        span::set_virtual_tid(worker as u32 + 1, &format!("worker {worker}"));
+                        run_worker(worker)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("pool workers catch task panics")).collect()
+        })
+    };
     watchdog.stop();
 
     let results: Vec<Result<T, TaskFailure>> = result_cells
@@ -506,10 +570,7 @@ where
         jobs,
         tasks: n,
         wall_ms: wall.elapsed().as_secs_f64() * 1e3,
-        worker_busy_ms: busy
-            .into_iter()
-            .map(|cell| cell.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner))
-            .collect(),
+        worker_busy_ms,
         assigned_worker: assigned.into_iter().map(AtomicUsize::into_inner).collect(),
     };
     record_profile(&profile);
@@ -542,6 +603,7 @@ where
             let mut cell = Some(f);
             PoolTask {
                 id: base + i,
+                affinity: (base + i) as u64,
                 label: format!("task-{}", base + i),
                 task: move |_worker: usize| (cell.take().expect("single attempt"))(),
             }
@@ -763,12 +825,21 @@ impl Sweep {
             crate::supervisor::run_worker_shard(self.requests, shard, capacity, sweep_seq);
         }
 
+        // Each run's prep group: the pool hands all runs of one
+        // `(spec, cond)` pair to the worker that prepares it.
+        let prep_keys: Vec<u64> = self
+            .requests
+            .iter()
+            .map(|req| crate::prep_cache::fingerprint(&req.spec, &req.cond))
+            .collect();
+        let groups = prep_keys.iter().collect::<std::collections::HashSet<_>>().len();
         let isolation = crate::supervisor::isolation();
         let _sweep_span = Span::enter_with(
             format!("sweep {sweep_seq}"),
             "sweep",
             vec![
                 ("tasks", Json::u64(n as u64)),
+                ("groups", Json::u64(groups as u64)),
                 ("jobs", Json::u64(jobs.max(1) as u64)),
                 ("isolation", Json::str(isolation.name())),
             ],
@@ -868,6 +939,7 @@ impl Sweep {
                         let ckpt = ckpt.clone();
                         PoolTask {
                             id,
+                            affinity: prep_keys[i],
                             label,
                             // The closure returns `Result`: a typed SimError
                             // (bad trace, unknown benchmark, oversized
@@ -975,6 +1047,12 @@ mod tests {
         assert_eq!(profile.jobs, 4);
         assert_eq!(profile.tasks, 8);
         assert_eq!(profile.assigned_worker.len(), 8);
+        // Each `run_parallel` task is its own group, so the tasks still
+        // spread across workers first come, first served.
+        let mut used = profile.assigned_worker.clone();
+        used.sort_unstable();
+        used.dedup();
+        assert!(used.len() > 1, "tasks spread: {:?}", profile.assigned_worker);
         assert!(profile.worker_busy_ms.iter().all(|&b| b >= 0.0));
     }
 
@@ -1037,6 +1115,7 @@ mod tests {
         let tasks: Vec<PoolTask<_>> = (0..6usize)
             .map(|i| PoolTask {
                 id: base + i,
+                affinity: i as u64,
                 label: format!("iso-{i}"),
                 task: move |_w: usize| {
                     if i == 2 {
@@ -1068,6 +1147,7 @@ mod tests {
         let seen = std::sync::Arc::clone(&attempts);
         let tasks = vec![PoolTask {
             id: base,
+            affinity: 0,
             label: "flaky".to_owned(),
             task: move |_w: usize| {
                 if seen.fetch_add(1, Ordering::Relaxed) == 0 {
@@ -1087,6 +1167,93 @@ mod tests {
         let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
             vec![Box::new(|| 1), Box::new(|| panic!("legacy boom")), Box::new(|| 3)];
         let _ = run_parallel(tasks, 2);
+    }
+
+    /// `groups` groups of `per_group` tasks, submitted group-major, each
+    /// sleeping `sleep_ms` and returning its submission index.
+    fn sleeping_groups(
+        groups: usize,
+        per_group: usize,
+        sleep_ms: u64,
+    ) -> Vec<PoolTask<impl FnMut(usize) -> usize + Send>> {
+        let n = groups * per_group;
+        let base = resilience::allocate_task_ids(n);
+        (0..n)
+            .map(|i| PoolTask {
+                id: base + i,
+                affinity: (i / per_group) as u64,
+                label: format!("group-{}", i / per_group),
+                task: move |_w: usize| {
+                    std::thread::sleep(Duration::from_millis(sleep_ms));
+                    i
+                },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn workers_claim_whole_groups_until_the_tail() {
+        let (outcomes, profile) = run_parallel_isolated(sleeping_groups(8, 4, 5), 2, 1);
+        let results: Vec<usize> = outcomes.into_iter().map(Result::unwrap).collect();
+        assert_eq!(results, (0..32).collect::<Vec<_>>(), "results in submission order");
+        // Groups are claimed in order; only the last two (one per worker
+        // when the fresh groups run out) may be split by tail stealing.
+        for (g, workers) in profile.assigned_worker.chunks(4).enumerate().take(6) {
+            assert!(workers.iter().all(|&w| w == workers[0]), "group {g} split: {workers:?}");
+        }
+        assert!(profile.assigned_worker.contains(&0) && profile.assigned_worker.contains(&1));
+    }
+
+    #[test]
+    fn interleaved_groups_keep_submission_order_and_serial_runs_group_order() {
+        // Keys alternate a, b, a, b, ...: the serial path runs every `a`
+        // task before any `b` task, yet results land in submission order.
+        let base = resilience::allocate_task_ids(6);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let tasks: Vec<PoolTask<_>> = (0..6usize)
+            .map(|i| {
+                let order = Arc::clone(&order);
+                PoolTask {
+                    id: base + i,
+                    affinity: (i % 2) as u64,
+                    label: format!("alt-{i}"),
+                    task: move |_w: usize| {
+                        order.lock().unwrap().push(i);
+                        i * 3
+                    },
+                }
+            })
+            .collect();
+        let (outcomes, profile) = run_parallel_isolated(tasks, 1, 1);
+        let results: Vec<usize> = outcomes.into_iter().map(Result::unwrap).collect();
+        assert_eq!(results, vec![0, 3, 6, 9, 12, 15]);
+        assert_eq!(*order.lock().unwrap(), vec![0, 2, 4, 1, 3, 5]);
+        assert_eq!(profile.assigned_worker, vec![0; 6]);
+    }
+
+    #[test]
+    fn a_single_group_is_shared_through_tail_stealing() {
+        let (outcomes, profile) = run_parallel_isolated(sleeping_groups(1, 8, 20), 4, 1);
+        assert!(outcomes.iter().all(Result::is_ok));
+        let mut used = profile.assigned_worker.clone();
+        used.sort_unstable();
+        used.dedup();
+        assert!(used.len() > 1, "one group must still spread: {:?}", profile.assigned_worker);
+    }
+
+    #[test]
+    fn group_queue_claims_fresh_groups_then_steals_from_the_largest() {
+        let queue = GroupQueue::new([7, 7, 9, 7, 9, 5]);
+        assert_eq!(queue.groups, vec![vec![0, 1, 3], vec![2, 4], vec![5]]);
+        let (mut a, mut b) = (None, None);
+        assert_eq!(queue.claim(&mut a), Some(0), "a claims group 0");
+        assert_eq!(queue.claim(&mut b), Some(2), "b claims group 1");
+        assert_eq!(queue.claim(&mut b), Some(4));
+        assert_eq!(queue.claim(&mut b), Some(5), "b claims group 2");
+        assert_eq!(queue.claim(&mut b), Some(3), "b steals the back of group 0");
+        assert_eq!(queue.claim(&mut a), Some(1), "a keeps its own group's front");
+        assert_eq!(queue.claim(&mut a), None);
+        assert_eq!(queue.claim(&mut b), None);
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //! cached run and a `SIPT_PREP_CACHE=0` run must produce byte-identical
 //! report payloads, for any worker count, and resuming from a checkpoint
 //! must not touch (or double-count) the prep cache at all. These tests
-//! pin that contract for fig02 and the bypass-predictor ablation.
+//! pin that contract for fig02, the bypass-predictor ablation and a
+//! Fig 18-shaped sweep, whose interleaved (system, condition) order is
+//! what the pool's prep-affine scheduling regroups.
 //!
 //! The cache and the sweep job count are process-wide state, so every
 //! test serializes on one gate and restores the defaults afterwards.
 
 use sipt_core::{sipt_32k_2w, BypassKind, L1Policy};
-use sipt_sim::experiments::{ideal, report, smoke_benchmarks};
+use sipt_sim::experiments::{ideal, report, sensitivity, smoke_benchmarks};
 use sipt_sim::{checkpoint, prep_cache, set_jobs, Condition, RunMetrics, Sweep, SystemKind};
 use sipt_telemetry::json::Json;
 use std::sync::{Mutex, PoisonError};
@@ -35,6 +37,13 @@ fn with_exclusive_state<R>(f: impl FnOnce() -> R) -> R {
 /// reports).
 fn fig02_payload() -> String {
     report::ideal_json(&ideal::fig2(&smoke_benchmarks(), &Condition::quick())).render()
+}
+
+/// Fig 18's payload bytes on two smoke benchmarks: every (benchmark,
+/// condition) pair is submitted twice, once per system, with the other
+/// pairs in between.
+fn fig18_payload() -> String {
+    report::fig18_json(&sensitivity::fig18(&smoke_benchmarks()[..2], &Condition::quick())).render()
 }
 
 /// The bypass-predictor ablation's sweep (perceptron vs counter per
@@ -135,6 +144,40 @@ fn ablation_cached_vs_uncached_byte_identical_both_job_counts() {
                 cached, uncached,
                 "ablation payload must not depend on the prep cache at jobs {jobs}"
             );
+        }
+    });
+}
+
+#[test]
+fn fig18_cached_vs_uncached_byte_identical_at_every_job_count() {
+    with_exclusive_state(|| {
+        for jobs in [1usize, 2, 8] {
+            set_jobs(jobs);
+            prep_cache::clear();
+            prep_cache::set_enabled(true);
+            let cached = fig18_payload();
+            prep_cache::set_enabled(false);
+            let uncached = fig18_payload();
+            assert_eq!(
+                cached, uncached,
+                "fig18 payload must not depend on the prep cache at jobs {jobs}"
+            );
+        }
+    });
+}
+
+#[test]
+fn fig18_prepares_each_pair_once_at_jobs_1_and_8() {
+    with_exclusive_state(|| {
+        // Two benchmarks × four conditions; both systems share a pair.
+        let pairs = 2 * sipt_sim::Condition::sensitivity_sweep().len() as u64;
+        assert_eq!(pairs, 8);
+        for jobs in [1usize, 8] {
+            set_jobs(jobs);
+            prep_cache::clear();
+            let _ = fig18_payload();
+            let stats = prep_cache::stats();
+            assert_eq!(stats.misses, pairs, "one preparation per distinct pair at jobs {jobs}");
         }
     });
 }

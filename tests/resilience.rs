@@ -31,6 +31,7 @@ fn panic_in_one_task_leaves_survivors_bit_identical() {
         .enumerate()
         .map(|(i, name)| PoolTask {
             id: base + i,
+            affinity: i as u64,
             label: (*name).to_owned(),
             task: move |_worker: usize| {
                 if i == k {
@@ -68,6 +69,7 @@ fn watchdog_flags_overrunning_tasks() {
     let base = resilience::allocate_task_ids(1);
     let tasks = vec![PoolTask {
         id: base,
+        affinity: 0,
         label: "sleeper".to_owned(),
         task: move |_worker: usize| {
             std::thread::sleep(std::time::Duration::from_millis(150));
