@@ -25,7 +25,12 @@ fn temp_results_dir(tag: &str) -> PathBuf {
 /// Build a `fig02 quick --json [extra args]` command with a dedicated
 /// results dir and a scrubbed environment.
 fn fig02_cmd(dir: &Path, envs: &[(&str, &str)], extra_args: &[&str]) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig02"));
+    figure_cmd(env!("CARGO_BIN_EXE_fig02"), dir, envs, extra_args)
+}
+
+/// [`fig02_cmd`] for the figure binary at `exe`.
+fn figure_cmd(exe: &str, dir: &Path, envs: &[(&str, &str)], extra_args: &[&str]) -> Command {
+    let mut cmd = Command::new(exe);
     cmd.arg("quick").arg("--json").args(extra_args);
     cmd.env("SIPT_RESULTS_DIR", dir);
     // Ambient knobs from the outer environment must not leak in; the
@@ -167,6 +172,45 @@ fn process_mode_report_counts_worker_prep_cache_lookups() {
 
     let _ = std::fs::remove_dir_all(&thread_dir);
     let _ = std::fs::remove_dir_all(&process_dir);
+}
+
+/// The snapshot and trace counters travel the same way. At one worker
+/// the worker's cache sees the whole Fig 18 sweep, so every counter
+/// equals the thread-mode run's: one fragmented snapshot, and 11 shared
+/// traces over 16 pairs (libquantum, mcf and sjeng share one trace
+/// across the four conditions, calculix one across three).
+#[test]
+fn process_mode_report_counts_worker_snapshots_and_shared_traces() {
+    let counters = |dir: &Path| -> Vec<f64> {
+        let text = std::fs::read_to_string(dir.join("fig18.json")).expect("fig18.json written");
+        let report = json::parse(&text).expect("valid JSON");
+        ["hits", "misses", "fragment_builds", "shared_traces"]
+            .iter()
+            .map(|name| {
+                report
+                    .path(&format!("parallelism.prep_cache.{name}"))
+                    .and_then(Json::as_f64)
+                    .unwrap_or_else(|| panic!("parallelism.prep_cache.{name} present"))
+            })
+            .collect()
+    };
+    let mut runs = Vec::new();
+    for isolation in ["thread", "process"] {
+        let dir = temp_results_dir(&format!("fig18-{isolation}"));
+        let out = figure_cmd(
+            env!("CARGO_BIN_EXE_fig18"),
+            &dir,
+            &[],
+            &["--jobs", "1", "--isolation", isolation],
+        )
+        .output()
+        .expect("fig18 spawns");
+        assert!(out.status.success(), "{isolation} run passes: {out:?}");
+        runs.push(counters(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(runs[0], vec![144.0, 16.0, 1.0, 11.0], "thread-mode counters");
+    assert_eq!(runs[1], runs[0], "process mode must count its worker's snapshots and traces");
 }
 
 /// Abort containment: `SIPT_FAULT_INJECT=abort:2:once` kills a worker

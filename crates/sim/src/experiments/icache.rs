@@ -17,8 +17,7 @@
 use crate::runner::Condition;
 use crate::sweep::run_parallel_default;
 use sipt_core::{L1Config, SiptL1};
-use sipt_mem::{fragment_memory, AddressSpace, BuddyAllocator, VirtAddr, VirtPageNum, PAGE_SIZE};
-use sipt_rng::{SeedableRng, StdRng};
+use sipt_mem::{AddressSpace, BuddyAllocator, VirtAddr, VirtPageNum, PAGE_SIZE};
 use sipt_tlb::{DataTlb, TlbConfig};
 use sipt_workloads::{benchmark, TraceGen};
 
@@ -53,10 +52,11 @@ pub fn future_icache(benchmarks: &[&str], cond: &Condition, l1: L1Config) -> Vec
 /// Replay one benchmark's instruction PCs through an I-side SIPT L1.
 fn replay_one(name: &str, cond: &Condition, l1: L1Config) -> ICacheRow {
     let spec = benchmark(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let mut phys = BuddyAllocator::with_bytes(cond.memory_bytes);
-    let mut rng = StdRng::seed_from_u64(cond.seed ^ 0x1CAC);
-    let _hold =
-        cond.fragmented.then(|| fragment_memory(&mut phys, 0.5, &mut rng).expect("fragment"));
+    let mut phys = match cond.fragmented {
+        true => crate::prep_cache::fragmented_memory(cond.memory_bytes, cond.seed ^ 0x1CAC)
+            .expect("fragment"),
+        false => BuddyAllocator::with_bytes(cond.memory_bytes),
+    };
     let mut asp = AddressSpace::new(0, cond.placement);
     // Build the data side only to obtain the dynamic PC stream.
     let trace =

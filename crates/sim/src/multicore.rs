@@ -13,11 +13,10 @@
 
 use crate::machine::{Machine, SystemKind};
 use crate::metrics::{PhaseProfile, RunMetrics};
-use crate::prep_cache::{self, PreparedMix, PreparedMixCore};
+use crate::prep_cache::{self, PrepCache, PreparedMix, PreparedMixCore};
 use crate::runner::{collect, Condition};
 use sipt_core::L1Config;
-use sipt_mem::{fragment_memory, AddressSpace, BuddyAllocator};
-use sipt_rng::{SeedableRng, StdRng};
+use sipt_mem::{AddressSpace, BuddyAllocator};
 use sipt_workloads::{benchmark, MaterializedTrace, TraceGen, MIXES};
 use std::sync::Arc;
 use std::time::Instant;
@@ -82,8 +81,8 @@ pub fn run_mix(mix_name: &str, l1: L1Config, cond: &Condition) -> MixMetrics {
     // shared buddy allocator in program order, so the interleaving (the
     // part that matters to SIPT) is a property of the whole mix, not of
     // any one `(spec, cond)`.
-    let prepared = prep_cache::get_or_prepare_mix(mix_name, cond, || {
-        Arc::new(prepare_mix(mix_name, apps, cond))
+    let prepared = prep_cache::get_or_prepare_mix(mix_name, cond, |cache| {
+        Arc::new(prepare_mix(cache, mix_name, apps, cond))
     });
 
     // The paper's quad-core mixes share no state at runtime (private
@@ -169,11 +168,15 @@ fn run_mix_core(prep: &PreparedMixCore, l1: L1Config, cond: &Condition) -> RunMe
 /// individually so the per-core phase profiles serialize as real
 /// measurements (not the zeroed defaults the JSON reports would
 /// otherwise present as data); replays reuse the preparation-time cost.
-fn prepare_mix(mix_name: &str, apps: &[&str], cond: &Condition) -> PreparedMix {
-    let mut phys = BuddyAllocator::with_bytes(cond.memory_bytes);
-    let mut rng = StdRng::seed_from_u64(cond.seed ^ 0x4C0E);
-    let _hold =
-        cond.fragmented.then(|| fragment_memory(&mut phys, 0.5, &mut rng).expect("fragmentation"));
+/// Fragmented memory is a clone of `cache`'s snapshot for the mix's
+/// `cond.seed ^ 0x4C0E` fragmentation RNG.
+fn prepare_mix(cache: &PrepCache, mix_name: &str, apps: &[&str], cond: &Condition) -> PreparedMix {
+    let mut phys = match cond.fragmented {
+        true => {
+            cache.fragmented_memory(cond.memory_bytes, cond.seed ^ 0x4C0E).expect("fragmentation")
+        }
+        false => BuddyAllocator::with_bytes(cond.memory_bytes),
+    };
 
     let mut cores = Vec::new();
     for (core_id, app) in apps.iter().enumerate() {

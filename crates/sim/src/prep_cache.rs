@@ -9,6 +9,31 @@
 //! fingerprint of `(spec, condition)` (the same FNV-1a machinery the
 //! checkpoint layer uses), so N configs × one workload prepare **once**.
 //!
+//! Two parts of a preparation do not depend on the pair, and a cache
+//! shares them across pairs as well:
+//!
+//! - **One fragmented snapshot per `(memory_bytes, rng_seed)`.** The
+//!   fragmentation preamble reads only the memory size and its own RNG,
+//!   so every fragmented pair of one seed starts from the same allocator
+//!   state. The cache builds that state once, under a per-key cell, and
+//!   hands each user a clone (`PrepCache::fragmented_memory`). The
+//!   frames the injector pinned stay allocated in the allocator's bitmap,
+//!   so a clone is the fragmented state bit for bit. Quad-core mixes and
+//!   the I-cache exploration fragment through the same snapshots, under
+//!   their own RNG seeds. Snapshots are dropped only by
+//!   [`PrepCache::clear`].
+//! - **One trace per generator state.** A trace is a function of its
+//!   [`TraceGen`] alone: the page table is not consulted while
+//!   generating. [`PreparedWorkload::trace`] is therefore shared, keyed
+//!   by an FNV-1a fingerprint of the generator's `Debug` rendering (its
+//!   statics, layout, RNG state and remaining count). A pair whose
+//!   generator matches a live trace reuses it instead of materializing
+//!   again. On Fig 18's four conditions, Burst and Chunked specs share one
+//!   trace; Incremental specs share one across Normal, THP-off and
+//!   Par-bound, while fragmentation changes their churn draws. The trace
+//!   map holds `Weak`s, so it keeps no trace alive that no pair entry or
+//!   running replay holds.
+//!
 //! Correctness rests on two facts:
 //!
 //! - preparation is deterministic in `(spec, cond)` — it seeds its own
@@ -20,17 +45,20 @@
 //!   cannot change results.
 //!
 //! Cached and uncached runs therefore produce byte-identical scientific
-//! payloads; only wall-clock differs.
+//! payloads; only wall-clock differs. A disabled cache shares nothing:
+//! every lookup fragments and materializes afresh, so a disabled run is
+//! the differential oracle for the pair cache, the snapshots and the
+//! shared traces together.
 //!
 //! A cache is a [`PrepCache`] value. The free functions
 //! ([`get_or_prepare`], [`stats`], [`set_enabled`], ...) act on one
 //! process-wide instance, built on first use: it holds at most
 //! `SIPT_PREP_CACHE_CAP` single-core entries (default 64) and is on
 //! unless `SIPT_PREP_CACHE=0` or the figure binaries' `--no-prep-cache`
-//! flag turns it off (see [`set_enabled`]). Its hit/miss counters feed
-//! the report's `parallelism.prep_cache` block (schema v4). Code that
-//! needs accounting nobody else touches, such as this module's unit
-//! tests, builds its own instance with [`PrepCache::with_capacity`].
+//! flag turns it off (see [`set_enabled`]). Its counters feed the
+//! report's `parallelism.prep_cache` block (schema v4). Code that needs
+//! accounting nobody else touches, such as this module's unit tests,
+//! builds its own instance with [`PrepCache::with_capacity`].
 //!
 //! The capacity bounds single-core entries only, evicting the oldest
 //! first. Quad-core mixes are cached as units and never evicted, yet
@@ -48,19 +76,24 @@
 //! pair resident for all its runs, so a sweep over more pairs than the
 //! capacity still prepares each pair once. A panicking preparation
 //! poisons only its cell, which is recovered and retried — one injected
-//! fault cannot wedge the cache.
+//! fault cannot wedge the cache. Snapshots and traces have per-key cells
+//! of their own: workers fragmenting the same key, or materializing the
+//! same generator, wait for the first, so each is built once. The `prep`
+//! span of a preparation says what it reused: `fragment` is `built` or
+//! `cloned` on fragmented pairs, and `trace` is `materialized` or
+//! `shared`.
 
-use crate::checkpoint::fnv1a64;
+use crate::checkpoint::{fnv1a64, Fnv1a64};
 use crate::error::SimError;
-use crate::runner::{try_prepare_run, Condition, PreparedRun};
-use sipt_mem::AddressSpace;
+use crate::runner::{prepare_run_with, try_prepare_run, Condition, PreparedRun};
+use sipt_mem::{AddressSpace, BuddyAllocator, MemError};
 use sipt_telemetry::json::Json;
 use sipt_telemetry::Span;
-use sipt_workloads::{MaterializedTrace, WorkloadSpec};
+use sipt_workloads::{MaterializedTrace, TraceGen, WorkloadSpec};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError, Weak};
 use std::time::Instant;
 
 /// A fully prepared, immutable, replayable workload: the address space
@@ -71,8 +104,9 @@ pub struct PreparedWorkload {
     /// The workload's address space (owns the page table); shared by
     /// every machine replaying this workload.
     pub asp: Arc<AddressSpace>,
-    /// The drained, replayable trace.
-    pub trace: MaterializedTrace,
+    /// The drained, replayable trace; shared with every prepared pair
+    /// whose generator state is the same.
+    pub trace: Arc<MaterializedTrace>,
 }
 
 /// One prepared core of a multiprogrammed mix: the per-process address
@@ -105,6 +139,10 @@ type CacheResult = Result<Arc<PreparedWorkload>, SimError>;
 /// One per-key slot: `None` until the first claimant finishes preparing.
 type Cell = Arc<Mutex<Option<CacheResult>>>;
 type MixCell = Arc<Mutex<Option<Arc<PreparedMix>>>>;
+/// One fragmented snapshot: built by the first caller, cloned by all.
+type FragmentCell = Arc<OnceLock<Result<BuddyAllocator, MemError>>>;
+/// The live trace of one generator fingerprint, if any.
+type TraceCell = Arc<Mutex<Weak<MaterializedTrace>>>;
 
 #[derive(Default)]
 struct CacheState {
@@ -123,8 +161,14 @@ pub struct PrepCache {
     singles: Mutex<CacheState>,
     /// Mixes are cached as units and never evicted.
     mixes: Mutex<HashMap<u64, MixCell>>,
+    /// Fragmented allocators by `(memory_bytes, rng_seed)`.
+    fragments: Mutex<HashMap<(u64, u64), FragmentCell>>,
+    /// Trace slots by generator fingerprint.
+    traces: Mutex<HashMap<u64, TraceCell>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    fragment_builds: AtomicU64,
+    shared_traces: AtomicU64,
     /// Maximum number of resident *single-core* entries before FIFO
     /// eviction (in-flight users keep their `Arc`s, so eviction never
     /// affects running tasks).
@@ -139,8 +183,12 @@ impl PrepCache {
         PrepCache {
             singles: Mutex::new(CacheState::default()),
             mixes: Mutex::new(HashMap::new()),
+            fragments: Mutex::new(HashMap::new()),
+            traces: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            fragment_builds: AtomicU64::new(0),
+            shared_traces: AtomicU64::new(0),
             capacity,
             enabled: AtomicBool::new(true),
         }
@@ -209,9 +257,101 @@ impl PrepCache {
         if let Some(result) = slot.as_ref() {
             return result.clone();
         }
-        let result = prepare_fresh(spec, cond);
+        let result = self.prepare_shared(spec, cond, &mut span);
         *slot = Some(result.clone());
         result
+    }
+
+    /// Prepare `(spec, cond)` from this cache's fragmented snapshot and
+    /// live traces, recording on `span` what was reused.
+    fn prepare_shared(
+        &self,
+        spec: &WorkloadSpec,
+        cond: &Condition,
+        span: &mut Span,
+    ) -> CacheResult {
+        let mut built = false;
+        let PreparedRun { asp, trace: gen } = prepare_run_with(spec, cond, |bytes, rng_seed| {
+            let (phys, fresh) = self.fragment_snapshot(bytes, rng_seed);
+            built = fresh;
+            phys
+        })?;
+        if cond.fragmented {
+            span.arg("fragment", Json::str(if built { "built" } else { "cloned" }));
+        }
+        let (trace, shared) = self.shared_trace(gen);
+        span.arg("trace", Json::str(if shared { "shared" } else { "materialized" }));
+        Ok(Arc::new(PreparedWorkload { asp: Arc::new(asp), trace }))
+    }
+
+    /// `memory_bytes` of physical memory fragmented by the RNG seeded
+    /// `rng_seed`: a clone of this cache's snapshot for that key, which
+    /// the first caller builds while concurrent callers wait. While the
+    /// cache is disabled, fragments afresh. Either way the allocator is
+    /// bit-identical.
+    ///
+    /// # Errors
+    ///
+    /// The fragmentation's [`MemError`], kept with the snapshot.
+    pub(crate) fn fragmented_memory(
+        &self,
+        memory_bytes: u64,
+        rng_seed: u64,
+    ) -> Result<BuddyAllocator, MemError> {
+        if !self.enabled() {
+            return crate::runner::fragmented_memory(memory_bytes, rng_seed);
+        }
+        self.fragment_snapshot(memory_bytes, rng_seed).0
+    }
+
+    /// A clone of the snapshot for `(memory_bytes, rng_seed)`, and whether
+    /// this call built it.
+    fn fragment_snapshot(
+        &self,
+        memory_bytes: u64,
+        rng_seed: u64,
+    ) -> (Result<BuddyAllocator, MemError>, bool) {
+        let cell = Arc::clone(
+            self.fragments
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry((memory_bytes, rng_seed))
+                .or_default(),
+        );
+        let mut built = false;
+        let snapshot = cell.get_or_init(|| {
+            built = true;
+            self.fragment_builds.fetch_add(1, Ordering::Relaxed);
+            crate::runner::fragmented_memory(memory_bytes, rng_seed)
+        });
+        (snapshot.clone(), built)
+    }
+
+    /// The materialized trace of `gen`, and whether it was shared: the
+    /// live trace of an equal generator if there is one, else
+    /// materialized now and published for the next.
+    fn shared_trace(&self, gen: TraceGen) -> (Arc<MaterializedTrace>, bool) {
+        let mut key = Fnv1a64::default();
+        // Writing to the hasher cannot fail.
+        let _ = std::fmt::Write::write_fmt(&mut key, format_args!("{gen:?}"));
+        let cell = {
+            let mut traces = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
+            // Forget slots whose trace died. Only a caller holding a
+            // clone of a slot locks it, so this never blocks.
+            traces.retain(|_, cell| {
+                Arc::strong_count(cell) > 1
+                    || cell.lock().unwrap_or_else(PoisonError::into_inner).strong_count() > 0
+            });
+            Arc::clone(traces.entry(key.0).or_default())
+        };
+        let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(trace) = slot.upgrade() {
+            self.shared_traces.fetch_add(1, Ordering::Relaxed);
+            return (trace, true);
+        }
+        let trace = Arc::new(MaterializedTrace::from_gen(gen));
+        *slot = Arc::downgrade(&trace);
+        (trace, false)
     }
 
     /// The prepared state of a whole mix; see the free
@@ -220,10 +360,10 @@ impl PrepCache {
         &self,
         mix_name: &str,
         cond: &Condition,
-        prepare: impl FnOnce() -> Arc<PreparedMix>,
+        prepare: impl FnOnce(&PrepCache) -> Arc<PreparedMix>,
     ) -> Arc<PreparedMix> {
         if !self.enabled() {
-            return prepare();
+            return prepare(self);
         }
         let key = fnv1a64(format!("mix|{mix_name}|{cond:?}").as_bytes());
         let cell = {
@@ -245,7 +385,7 @@ impl PrepCache {
         if let Some(mix) = slot.as_ref() {
             return Arc::clone(mix);
         }
-        let mix = prepare();
+        let mix = prepare(self);
         *slot = Some(Arc::clone(&mix));
         mix
     }
@@ -258,6 +398,8 @@ impl PrepCache {
         PrepCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            fragment_builds: self.fragment_builds.load(Ordering::Relaxed),
+            shared_traces: self.shared_traces.load(Ordering::Relaxed),
             entries: singles + mixes,
             enabled: self.enabled(),
         }
@@ -270,23 +412,32 @@ impl PrepCache {
             ("enabled", Json::Bool(s.enabled)),
             ("hits", Json::u64(s.hits)),
             ("misses", Json::u64(s.misses)),
+            ("fragment_builds", Json::u64(s.fragment_builds)),
+            ("shared_traces", Json::u64(s.shared_traces)),
             ("entries", Json::u64(s.entries as u64)),
         ])
     }
 
-    /// Add lookups made elsewhere to this cache's counters: a
-    /// process-isolation supervisor folds in what its workers report.
-    pub fn add_counts(&self, hits: u64, misses: u64) {
+    /// Add counts made elsewhere to this cache's counters, in
+    /// [`PrepCacheStats`] field order: a process-isolation supervisor
+    /// folds in what its workers report.
+    pub fn add_counts(&self, hits: u64, misses: u64, fragment_builds: u64, shared_traces: u64) {
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.misses.fetch_add(misses, Ordering::Relaxed);
+        self.fragment_builds.fetch_add(fragment_builds, Ordering::Relaxed);
+        self.shared_traces.fetch_add(shared_traces, Ordering::Relaxed);
     }
 
-    /// Drop all entries and zero the counters. The enable switch is kept.
+    /// Drop all entries, snapshots and trace slots, and zero the
+    /// counters. The enable switch is kept.
     pub fn clear(&self) {
         *self.singles.lock().unwrap_or_else(PoisonError::into_inner) = CacheState::default();
         self.mixes.lock().unwrap_or_else(PoisonError::into_inner).clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        self.fragments.lock().unwrap_or_else(PoisonError::into_inner).clear();
+        self.traces.lock().unwrap_or_else(PoisonError::into_inner).clear();
+        for counter in [&self.hits, &self.misses, &self.fragment_builds, &self.shared_traces] {
+            counter.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -332,9 +483,13 @@ pub fn fingerprint(spec: &WorkloadSpec, cond: &Condition) -> u64 {
     fnv1a64(format!("prep|{spec:?}|{cond:?}").as_bytes())
 }
 
+/// Prepare `(spec, cond)` from scratch, sharing nothing.
 fn prepare_fresh(spec: &WorkloadSpec, cond: &Condition) -> CacheResult {
     let PreparedRun { asp, trace } = try_prepare_run(spec, cond)?;
-    Ok(Arc::new(PreparedWorkload { asp: Arc::new(asp), trace: MaterializedTrace::from_gen(trace) }))
+    Ok(Arc::new(PreparedWorkload {
+        asp: Arc::new(asp),
+        trace: Arc::new(MaterializedTrace::from_gen(trace)),
+    }))
 }
 
 /// The prepared workload for `(spec, cond)`: cached when the process-wide
@@ -353,7 +508,8 @@ pub fn get_or_prepare(spec: &WorkloadSpec, cond: &Condition) -> CacheResult {
 
 /// The prepared state of a whole mix, cached in the process-wide cache
 /// under `(mix_name, cond)`; `prepare` runs only on a miss (or whenever
-/// the cache is disabled). Used by [`crate::multicore::run_mix`].
+/// the cache is disabled), and takes its fragmented memory from the
+/// cache it is given. Used by [`crate::multicore::run_mix`].
 ///
 /// The closure-based shape keeps mix preparation (shared buddy
 /// allocator, per-process traces) in the multicore module while the
@@ -362,7 +518,7 @@ pub fn get_or_prepare(spec: &WorkloadSpec, cond: &Condition) -> CacheResult {
 pub(crate) fn get_or_prepare_mix(
     mix_name: &str,
     cond: &Condition,
-    prepare: impl FnOnce() -> Arc<PreparedMix>,
+    prepare: impl FnOnce(&PrepCache) -> Arc<PreparedMix>,
 ) -> Arc<PreparedMix> {
     global().get_or_prepare_mix(mix_name, cond, prepare)
 }
@@ -375,6 +531,12 @@ pub struct PrepCacheStats {
     pub hits: u64,
     /// Lookups that created a new entry (distinct workloads prepared).
     pub misses: u64,
+    /// Fragmented snapshots built: one per `(memory_bytes, rng_seed)`
+    /// between clears.
+    pub fragment_builds: u64,
+    /// Preparations that reused a live trace instead of materializing
+    /// their own.
+    pub shared_traces: u64,
     /// Entries currently resident, single-core and mix together.
     pub entries: usize,
     /// Whether lookups currently consult the cache.
@@ -393,14 +555,29 @@ pub fn stats_json() -> Json {
     global().stats_json()
 }
 
-/// Add a worker process's lookups to the process-wide counters (see
+/// Add a worker process's counts to the process-wide counters (see
 /// [`PrepCache::add_counts`]). Entries stay the parent's own.
-pub fn add_counts(hits: u64, misses: u64) {
-    global().add_counts(hits, misses);
+pub fn add_counts(hits: u64, misses: u64, fragment_builds: u64, shared_traces: u64) {
+    global().add_counts(hits, misses, fragment_builds, shared_traces);
 }
 
-/// Drop all entries of the process-wide cache and zero its counters
-/// (integration tests and long-lived drivers that want fresh accounting).
+/// `memory_bytes` of physical memory fragmented by the RNG seeded
+/// `rng_seed`, from the process-wide cache's snapshots (see
+/// [`PrepCache::fragmented_memory`]).
+///
+/// # Errors
+///
+/// The fragmentation's [`MemError`].
+pub(crate) fn fragmented_memory(
+    memory_bytes: u64,
+    rng_seed: u64,
+) -> Result<BuddyAllocator, MemError> {
+    global().fragmented_memory(memory_bytes, rng_seed)
+}
+
+/// Drop all entries and snapshots of the process-wide cache and zero its
+/// counters (integration tests and long-lived drivers that want fresh
+/// accounting).
 pub fn clear() {
     global().clear();
 }
@@ -515,8 +692,183 @@ mod tests {
     #[test]
     fn stats_json_shape() {
         let rendered = stats_json().render();
-        for field in ["\"enabled\"", "\"hits\"", "\"misses\"", "\"entries\""] {
+        for field in [
+            "\"enabled\"",
+            "\"hits\"",
+            "\"misses\"",
+            "\"fragment_builds\"",
+            "\"shared_traces\"",
+            "\"entries\"",
+        ] {
             assert!(rendered.contains(field), "{rendered}");
         }
+    }
+
+    /// The page table's mappings in VPN order (its `Debug` order follows
+    /// its hash maps and varies between equal tables).
+    fn sorted_mappings(asp: &AddressSpace) -> Vec<(u64, sipt_mem::Mapping)> {
+        let mut mappings: Vec<_> =
+            asp.page_table().iter().map(|(vpn, mapping)| (vpn.raw(), mapping)).collect();
+        mappings.sort_unstable_by_key(|&(vpn, _)| vpn);
+        mappings
+    }
+
+    /// Fig 18's four conditions at quick scale.
+    fn quick_sensitivity_conditions() -> Vec<(&'static str, Condition)> {
+        let quick = Condition::quick();
+        Condition::sensitivity_sweep()
+            .into_iter()
+            .map(|(label, cond)| {
+                (
+                    label,
+                    Condition { instructions: quick.instructions, warmup: quick.warmup, ..cond },
+                )
+            })
+            .collect()
+    }
+
+    /// For each spec, in turn: every Fig 18 condition's shared
+    /// preparation equals the fresh [`try_prepare_run`] (trace and page
+    /// table), and the four pairs hold one trace for a Burst or Chunked
+    /// spec and two for an Incremental one, whose churn draws depend on
+    /// the fragmented free lists.
+    fn check_shared_preparation(specs: &[WorkloadSpec]) {
+        use sipt_workloads::AllocPattern;
+        // Capacity 4 keeps one spec's four pairs resident.
+        let cache = PrepCache::with_capacity(4);
+        let mut want_shared = 0;
+        for spec in specs {
+            let mut distinct: Vec<Arc<MaterializedTrace>> = Vec::new();
+            for (label, cond) in quick_sensitivity_conditions() {
+                let shared = cache.get_or_prepare(spec, &cond).unwrap();
+                let fresh = try_prepare_run(spec, &cond).unwrap();
+                let what = format!("{} {label}", spec.name);
+                assert_eq!(
+                    *shared.trace,
+                    MaterializedTrace::from_gen(fresh.trace),
+                    "{what}: trace"
+                );
+                assert_eq!(
+                    sorted_mappings(&shared.asp),
+                    sorted_mappings(&fresh.asp),
+                    "{what}: page table"
+                );
+                if !distinct.iter().any(|d| Arc::ptr_eq(d, &shared.trace)) {
+                    distinct.push(Arc::clone(&shared.trace));
+                }
+            }
+            let want = match spec.alloc {
+                AllocPattern::Burst | AllocPattern::Chunked { .. } => 1,
+                AllocPattern::Incremental { .. } => 2,
+            };
+            assert_eq!(distinct.len(), want, "{}: distinct traces over 4 conditions", spec.name);
+            want_shared += 4 - want as u64;
+        }
+        let s = cache.stats();
+        assert_eq!((s.fragment_builds, s.shared_traces), (1, want_shared), "{s:?}");
+    }
+
+    // The roster is checked in two halves so the test harness can run
+    // them side by side.
+    #[test]
+    fn shared_preparation_equals_fresh_on_the_first_half_of_the_roster() {
+        let (first, _) = sipt_workloads::BENCHMARKS.split_at(sipt_workloads::BENCHMARKS.len() / 2);
+        check_shared_preparation(first);
+    }
+
+    #[test]
+    fn shared_preparation_equals_fresh_on_the_second_half_of_the_roster() {
+        let (_, second) = sipt_workloads::BENCHMARKS.split_at(sipt_workloads::BENCHMARKS.len() / 2);
+        check_shared_preparation(second);
+    }
+
+    #[test]
+    fn concurrent_fragmented_preparations_build_the_snapshot_once() {
+        let cache = PrepCache::with_capacity(64);
+        let cond = Condition { fragmented: true, ..Condition::quick() };
+        let names =
+            ["sjeng", "h264ref", "gobmk", "hmmer", "povray", "gamess", "bzip2", "exchange2_17"];
+        // All eight ask at once, so seven find the snapshot being built.
+        let start = std::sync::Barrier::new(names.len());
+        let prepared: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = names
+                .iter()
+                .map(|name| {
+                    let (cache, cond, start) = (&cache, &cond, &start);
+                    scope.spawn(move || {
+                        let spec = benchmark(name).unwrap();
+                        start.wait();
+                        (spec, cache.get_or_prepare(&spec, cond).unwrap())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let s = cache.stats();
+        assert_eq!((s.misses, s.fragment_builds), (8, 1), "{s:?}");
+        for (spec, shared) in &prepared {
+            let fresh = try_prepare_run(spec, &cond).unwrap();
+            assert_eq!(sorted_mappings(&shared.asp), sorted_mappings(&fresh.asp), "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn snapshot_clones_equal_a_fresh_fragmentation() {
+        let cache = PrepCache::with_capacity(64);
+        let (bytes, seed) = (64 << 20, 42 ^ 0xF7A6);
+        // The allocated frames, then every free frame in the order the
+        // allocator hands them out.
+        let state = |mut phys: BuddyAllocator| {
+            let frames = phys.total_frames();
+            let allocated: Vec<bool> =
+                (0..frames).map(|f| phys.is_allocated(sipt_mem::PhysFrameNum::new(f))).collect();
+            let handed_out: Vec<_> = std::iter::from_fn(|| phys.alloc(0).ok()).collect();
+            (allocated, handed_out)
+        };
+        let fresh = state(crate::runner::fragmented_memory(bytes, seed).unwrap());
+        for _ in 0..2 {
+            assert!(state(cache.fragmented_memory(bytes, seed).unwrap()) == fresh);
+        }
+        let other = state(cache.fragmented_memory(bytes, seed ^ 1).unwrap());
+        assert!(other != fresh, "the RNG seed is part of the key");
+        assert_eq!(cache.stats().fragment_builds, 2);
+        cache.clear();
+        let _ = cache.fragmented_memory(bytes, seed).unwrap();
+        assert_eq!(cache.stats().fragment_builds, 1, "clear drops the snapshots");
+    }
+
+    #[test]
+    fn disabled_cache_shares_no_snapshot_and_no_trace() {
+        let cache = PrepCache::with_capacity(64);
+        cache.set_enabled(false);
+        let spec = benchmark("sjeng").unwrap();
+        let normal = Condition::quick();
+        let fragmented = Condition { fragmented: true, ..normal };
+        let a = cache.get_or_prepare(&spec, &normal).unwrap();
+        let b = cache.get_or_prepare(&spec, &fragmented).unwrap();
+        assert!(!Arc::ptr_eq(&a.trace, &b.trace));
+        assert_eq!(a.trace, b.trace, "sjeng's trace does not depend on the condition");
+        let _ = cache.fragmented_memory(64 << 20, 7).unwrap();
+        let s = cache.stats();
+        assert_eq!((s.fragment_builds, s.shared_traces), (0, 0));
+    }
+
+    #[test]
+    fn the_trace_map_keeps_no_trace_alive() {
+        // Capacity 1: preparing the THP-off pair evicts the Normal one.
+        let cache = PrepCache::with_capacity(1);
+        let spec = benchmark("sjeng").unwrap();
+        let normal = Condition::quick();
+        let thp_off = Condition { placement: sipt_mem::PlacementPolicy::ThpOff, ..normal };
+
+        let held = cache.get_or_prepare(&spec, &normal).unwrap();
+        let shared = cache.get_or_prepare(&spec, &thp_off).unwrap();
+        assert!(Arc::ptr_eq(&held.trace, &shared.trace), "a held trace is shared");
+        assert_eq!(cache.stats().shared_traces, 1);
+
+        drop((held, shared));
+        cache.get_or_prepare(&spec, &normal).unwrap();
+        assert_eq!(cache.stats().shared_traces, 1, "an evicted, unheld trace is not kept");
+        assert_eq!(cache.traces.lock().unwrap().len(), 1, "dead slots are forgotten");
     }
 }

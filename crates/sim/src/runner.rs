@@ -19,7 +19,9 @@ use crate::machine::{Machine, SystemKind};
 use crate::metrics::{PhaseProfile, RunMetrics};
 use sipt_core::L1Config;
 use sipt_cpu::CoreResult;
-use sipt_mem::{fragment_memory, AddressSpace, BuddyAllocator, PlacementPolicy, TranslationCache};
+use sipt_mem::{
+    fragment_memory, AddressSpace, BuddyAllocator, MemError, PlacementPolicy, TranslationCache,
+};
 use sipt_rng::{SeedableRng, StdRng};
 use sipt_telemetry::Span;
 use sipt_workloads::{benchmark, TraceGen, WorkloadSpec};
@@ -162,12 +164,15 @@ pub fn try_run_spec(
 }
 
 /// The allocate/fragment/trace-build preamble shared by [`run_spec`] and
-/// [`speculation_profile`]: one buddy allocator, the `cond.seed ^ 0xF7A6`
-/// fragmentation RNG, and a trace covering `warmup + instructions`
-/// instructions — so a profile explains exactly the access window the
-/// timed runs measure. Callers normally reach this through
-/// [`crate::prep_cache::get_or_prepare`], which materializes the trace
-/// and shares the result across every run of the same `(spec, cond)`.
+/// [`speculation_profile`]: one buddy allocator, fragmented by the
+/// `cond.seed ^ 0xF7A6` RNG when `cond.fragmented`, and a trace generator
+/// covering `warmup + instructions` instructions — so a profile explains
+/// exactly the access window the timed runs measure. Callers normally
+/// reach this through [`crate::prep_cache::get_or_prepare`], which shares
+/// what does not depend on the pair: one fragmented allocator per
+/// `(memory_bytes, seed)`, cloned into every fragmented pair, and one
+/// materialized trace per generator state, whatever the condition that
+/// built it.
 pub(crate) struct PreparedRun {
     /// The workload's address space (owns the page table).
     pub asp: AddressSpace,
@@ -175,12 +180,36 @@ pub(crate) struct PreparedRun {
     pub trace: TraceGen,
 }
 
+/// XORed into `cond.seed` to seed a single-core run's fragmentation RNG.
+const FRAGMENT_SALT: u64 = 0xF7A6;
+
+/// `memory_bytes` of physical memory fragmented to `Fu(9) > 0.95` by the
+/// RNG seeded `rng_seed`, with half the frames left free as scattered
+/// holes. The other half stay allocated in the allocator's bitmap for
+/// good, so the returned allocator alone is the fragmented state and a
+/// clone of it is indistinguishable from a fresh fragmentation. The RNG
+/// is used for nothing else.
+///
+/// # Errors
+///
+/// Propagates the injector's [`MemError`].
+pub(crate) fn fragmented_memory(
+    memory_bytes: u64,
+    rng_seed: u64,
+) -> Result<BuddyAllocator, MemError> {
+    let mut phys = BuddyAllocator::with_bytes(memory_bytes);
+    let mut rng = StdRng::seed_from_u64(rng_seed);
+    let _pinned = fragment_memory(&mut phys, 0.5, &mut rng)?;
+    Ok(phys)
+}
+
 /// [`PreparedRun`] construction with typed errors: workload sizing against physical
 /// memory is untrusted input (huge-page mixes under fragmentation can
 /// exhaust a small memory), so exhaustion surfaces as
 /// [`SimError::WorkloadTooLarge`] rather than a process abort. With
 /// `SIPT_AUDIT=1`, the page-table↔allocator ownership audit runs here,
-/// while the allocator is still alive.
+/// while the allocator is still alive. Every step runs fresh: this is the
+/// reference the prep cache's shared path is tested against.
 ///
 /// # Errors
 ///
@@ -190,16 +219,25 @@ pub(crate) fn try_prepare_run(
     spec: &WorkloadSpec,
     cond: &Condition,
 ) -> Result<PreparedRun, SimError> {
-    let mut phys = BuddyAllocator::with_bytes(cond.memory_bytes);
-    let mut rng = StdRng::seed_from_u64(cond.seed ^ 0xF7A6);
-    let _hold = match cond.fragmented {
-        true => Some(fragment_memory(&mut phys, 0.5, &mut rng).map_err(|e| {
+    prepare_run_with(spec, cond, fragmented_memory)
+}
+
+/// [`try_prepare_run`] with the fragmented allocator taken from
+/// `fragmented(memory_bytes, rng_seed)` instead of built fresh; the prep
+/// cache passes a clone of its snapshot.
+pub(crate) fn prepare_run_with(
+    spec: &WorkloadSpec,
+    cond: &Condition,
+    fragmented: impl FnOnce(u64, u64) -> Result<BuddyAllocator, MemError>,
+) -> Result<PreparedRun, SimError> {
+    let mut phys = match cond.fragmented {
+        true => fragmented(cond.memory_bytes, cond.seed ^ FRAGMENT_SALT).map_err(|e| {
             SimError::WorkloadTooLarge {
                 workload: spec.name.to_owned(),
                 detail: format!("fragmentation preamble failed: {e}"),
             }
-        })?),
-        false => None,
+        })?,
+        false => BuddyAllocator::with_bytes(cond.memory_bytes),
     };
     let mut asp = AddressSpace::new(0, cond.placement);
     let trace =

@@ -271,13 +271,15 @@ pub(crate) fn run_worker_shard(
         }
     });
 
-    // The shard's own preparation-cache lookups, reported when it ends.
+    // The shard's own preparation-cache counts, reported when it ends.
     let prep_start = crate::prep_cache::stats();
     let emit_prep_counts = || {
         let now = crate::prep_cache::stats();
         emit(&WorkerMsg::PrepCache {
             hits: now.hits.saturating_sub(prep_start.hits),
             misses: now.misses.saturating_sub(prep_start.misses),
+            fragment_builds: now.fragment_builds.saturating_sub(prep_start.fragment_builds),
+            shared_traces: now.shared_traces.saturating_sub(prep_start.shared_traces),
         });
     };
     let attempts = resilience::task_retries() + 1;
@@ -881,7 +883,9 @@ fn handle_event(
     match msg {
         WorkerMsg::Hello { .. } => worker.hello_seen = true,
         WorkerMsg::Heartbeat => with_stats(|s| s.heartbeats += 1),
-        WorkerMsg::PrepCache { hits, misses } => crate::prep_cache::add_counts(hits, misses),
+        WorkerMsg::PrepCache { hits, misses, fragment_builds, shared_traces } => {
+            crate::prep_cache::add_counts(hits, misses, fragment_builds, shared_traces)
+        }
         WorkerMsg::Start { slot } => worker.inflight = Some((slot, Instant::now())),
         WorkerMsg::Done { slot, fingerprint, metrics } => {
             let busy = worker

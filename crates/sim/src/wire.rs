@@ -17,7 +17,7 @@
 //! @sipt1 done <slot> <fingerprint:016x> <metrics-hex>
 //! @sipt1 fail <slot> <attempts> <elapsed_ms-bits:016x> <message-hex>
 //! @sipt1 hb
-//! @sipt1 prep <hits> <misses>
+//! @sipt1 prep <hits> <misses> <fragment_builds> <shared_traces>
 //! @sipt1 drained <completed>
 //! ```
 //!
@@ -27,9 +27,10 @@
 //! merged sharded results are byte-identical to in-process execution by
 //! construction. Free-text fields (panic messages) are hex encoded too:
 //! the line framing never depends on their content. `prep` carries the
-//! worker's preparation-cache lookups for its shard, sent once when the
-//! shard ends (before `drained` on a drain), so the parent's report
-//! counts the preparation its workers did.
+//! worker's preparation-cache counters for its shard (lookups, fragmented
+//! snapshots built, traces shared), sent once when the shard ends (before
+//! `drained` on a drain), so the parent's report counts the preparation
+//! its workers did.
 //!
 //! The supervisor's only downstream channel is the worker's stdin, with a
 //! single command: [`DRAIN_COMMAND`] (one line) asks the worker to finish
@@ -85,13 +86,17 @@ pub enum WorkerMsg {
     },
     /// Liveness beacon (emitted periodically from a side thread).
     Heartbeat,
-    /// The worker's preparation-cache lookups over its shard, sent once
+    /// The worker's preparation-cache counters over its shard, sent once
     /// when the shard ends.
     PrepCache {
         /// Lookups that found an existing entry.
         hits: u64,
         /// Lookups that prepared a new entry.
         misses: u64,
+        /// Fragmented snapshots built.
+        fragment_builds: u64,
+        /// Preparations that reused a live trace.
+        shared_traces: u64,
     },
     /// Graceful drain acknowledged: the worker flushed `completed` slots
     /// and is exiting cleanly.
@@ -129,7 +134,9 @@ impl WorkerMsg {
                 hex_encode(message.as_bytes())
             ),
             WorkerMsg::Heartbeat => format!("{SENTINEL} hb"),
-            WorkerMsg::PrepCache { hits, misses } => format!("{SENTINEL} prep {hits} {misses}"),
+            WorkerMsg::PrepCache { hits, misses, fragment_builds, shared_traces } => {
+                format!("{SENTINEL} prep {hits} {misses} {fragment_builds} {shared_traces}")
+            }
             WorkerMsg::Drained { completed } => format!("{SENTINEL} drained {completed}"),
         }
     }
@@ -160,9 +167,11 @@ impl WorkerMsg {
                 message: String::new(),
             }),
             ["hb"] => Some(WorkerMsg::Heartbeat),
-            ["prep", hits, misses] => Some(WorkerMsg::PrepCache {
+            ["prep", hits, misses, fragment_builds, shared_traces] => Some(WorkerMsg::PrepCache {
                 hits: hits.parse().ok()?,
                 misses: misses.parse().ok()?,
+                fragment_builds: fragment_builds.parse().ok()?,
+                shared_traces: shared_traces.parse().ok()?,
             }),
             ["drained", completed] => {
                 Some(WorkerMsg::Drained { completed: completed.parse().ok()? })
@@ -215,8 +224,18 @@ mod tests {
             message: "injected fault: panic at task 9 (attempt 1)\nwith newline".into(),
         });
         roundtrip(WorkerMsg::Heartbeat);
-        roundtrip(WorkerMsg::PrepCache { hits: 20, misses: 4 });
-        roundtrip(WorkerMsg::PrepCache { hits: 0, misses: u64::MAX });
+        roundtrip(WorkerMsg::PrepCache {
+            hits: 20,
+            misses: 4,
+            fragment_builds: 1,
+            shared_traces: 3,
+        });
+        roundtrip(WorkerMsg::PrepCache {
+            hits: 0,
+            misses: u64::MAX,
+            fragment_builds: u64::MAX,
+            shared_traces: 0,
+        });
         roundtrip(WorkerMsg::Drained { completed: 4 });
     }
 
@@ -245,9 +264,13 @@ mod tests {
             "@sipt1 fail 1 2 0 oddhex1",
             "@sipt1 prep",
             "@sipt1 prep 3",
-            "@sipt1 prep 3 -1",
-            "@sipt1 prep x 4",
+            "@sipt1 prep 3 4",
             "@sipt1 prep 3 4 5",
+            "@sipt1 prep 3 -1 0 0",
+            "@sipt1 prep x 4 0 0",
+            "@sipt1 prep 3 4 -5 0",
+            "@sipt1 prep 3 4 5 y",
+            "@sipt1 prep 3 4 5 6 7",
         ] {
             assert!(
                 matches!(parse_line(line), Parsed::Malformed(_)),

@@ -29,7 +29,10 @@ pub fn json_requested() -> bool {
 /// - **4** — additive: the `parallelism` block gains a `prep_cache`
 ///   object (`{enabled, hits, misses, entries}`) accounting for the
 ///   workload-preparation cache. Wall-clock bookkeeping only; the
-///   scientific `payload` is byte-identical to v3 payloads.
+///   scientific `payload` is byte-identical to v3 payloads. The object
+///   later gained the `fragment_builds` and `shared_traces` counters
+///   without a version bump: readers that ignore unknown keys are
+///   unaffected.
 /// - **5** — adds an optional top-level `observability` object: span
 ///   sink accounting (`spans`), the sampled speculation flight recorder
 ///   (`flight_recorder` per-run entries with `EventTracer` capacity/

@@ -4,7 +4,8 @@
 //! must not touch (or double-count) the prep cache at all. These tests
 //! pin that contract for fig02, the bypass-predictor ablation and a
 //! Fig 18-shaped sweep, whose interleaved (system, condition) order is
-//! what the pool's prep-affine scheduling regroups.
+//! what the pool's prep-affine scheduling regroups and whose conditions
+//! share a fragmented snapshot and condition-independent traces.
 //!
 //! The cache and the sweep job count are process-wide state, so every
 //! test serializes on one gate and restores the defaults afterwards.
@@ -39,11 +40,11 @@ fn fig02_payload() -> String {
     report::ideal_json(&ideal::fig2(&smoke_benchmarks(), &Condition::quick())).render()
 }
 
-/// Fig 18's payload bytes on two smoke benchmarks: every (benchmark,
-/// condition) pair is submitted twice, once per system, with the other
-/// pairs in between.
-fn fig18_payload() -> String {
-    report::fig18_json(&sensitivity::fig18(&smoke_benchmarks()[..2], &Condition::quick())).render()
+/// Fig 18's payload bytes on `benchmarks`: every (benchmark, condition)
+/// pair is submitted twice, once per system, with the other pairs in
+/// between.
+fn fig18_payload(benchmarks: &[&str]) -> String {
+    report::fig18_json(&sensitivity::fig18(benchmarks, &Condition::quick())).render()
 }
 
 /// The bypass-predictor ablation's sweep (perceptron vs counter per
@@ -148,16 +149,33 @@ fn ablation_cached_vs_uncached_byte_identical_both_job_counts() {
     });
 }
 
+/// The uncached run prepares every run from scratch, so it is the oracle
+/// for the pair cache, the fragmented snapshot and the shared traces
+/// together. The roster has one benchmark per allocation pattern: mcf
+/// (Burst) and sjeng (Chunked) share one trace across the four
+/// conditions, gcc (Incremental) one across all but the fragmented one.
 #[test]
 fn fig18_cached_vs_uncached_byte_identical_at_every_job_count() {
     with_exclusive_state(|| {
+        let roster = ["mcf", "sjeng", "gcc"];
         for jobs in [1usize, 2, 8] {
             set_jobs(jobs);
             prep_cache::clear();
             prep_cache::set_enabled(true);
-            let cached = fig18_payload();
+            let cached = fig18_payload(&roster);
+            let stats = prep_cache::stats();
+            assert_eq!(
+                (stats.misses, stats.fragment_builds, stats.shared_traces),
+                (12, 1, 3 + 3 + 2),
+                "12 pairs, one snapshot, 4 distinct traces at jobs {jobs}"
+            );
             prep_cache::set_enabled(false);
-            let uncached = fig18_payload();
+            let uncached = fig18_payload(&roster);
+            assert_eq!(
+                prep_cache::stats(),
+                prep_cache::PrepCacheStats { enabled: false, ..stats },
+                "a disabled cache counts nothing"
+            );
             assert_eq!(
                 cached, uncached,
                 "fig18 payload must not depend on the prep cache at jobs {jobs}"
@@ -175,7 +193,7 @@ fn fig18_prepares_each_pair_once_at_jobs_1_and_8() {
         for jobs in [1usize, 8] {
             set_jobs(jobs);
             prep_cache::clear();
-            let _ = fig18_payload();
+            let _ = fig18_payload(&smoke_benchmarks()[..2]);
             let stats = prep_cache::stats();
             assert_eq!(stats.misses, pairs, "one preparation per distinct pair at jobs {jobs}");
         }
