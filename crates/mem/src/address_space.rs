@@ -39,7 +39,7 @@ pub enum PlacementPolicy {
 }
 
 /// A mapped virtual region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Region {
     /// First virtual address of the region (page aligned).
     pub start: VirtAddr,

@@ -12,7 +12,7 @@
 //! constant across the block (paper §VI, Fig 10).
 
 use crate::addr::PhysFrameNum;
-use crate::indexed_set::IndexedSet;
+use crate::indexed_set::IndexedSets;
 use crate::MemError;
 use sipt_rng::Rng;
 
@@ -91,6 +91,19 @@ impl FrameBitmap {
     fn test(&self, frame: u64) -> bool {
         self.words[(frame / 64) as usize] & (1 << (frame % 64)) != 0
     }
+
+    /// Whether any frame of the aligned block `[start, start + 2^order)`
+    /// is set.
+    #[inline]
+    fn any_in_block(&self, start: u64, order: u32) -> bool {
+        let word = (start / 64) as usize;
+        if order < 6 {
+            let mask = ((1u64 << (1u64 << order)) - 1) << (start % 64);
+            self.words[word] & mask != 0
+        } else {
+            self.words[word..word + (1 << (order - 6))].iter().any(|&w| w != 0)
+        }
+    }
 }
 
 /// The binary buddy allocator.
@@ -105,8 +118,9 @@ impl FrameBitmap {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BuddyAllocator {
-    /// Free lists, indexed by order.
-    free_lists: Vec<IndexedSet>,
+    /// Free lists: class `o` holds the first frames of the free
+    /// order-`o` blocks.
+    free_lists: IndexedSets,
     /// Per-frame allocated bit.
     allocated: FrameBitmap,
     total_frames: u64,
@@ -123,7 +137,7 @@ impl BuddyAllocator {
     pub fn new(total_frames: u64) -> Self {
         assert!(total_frames > 0, "allocator must manage at least one frame");
         let mut this = Self {
-            free_lists: (0..=MAX_ORDER).map(|_| IndexedSet::new()).collect(),
+            free_lists: IndexedSets::new(MAX_ORDER + 1, total_frames),
             allocated: FrameBitmap::new(total_frames),
             total_frames,
             free_frames: 0,
@@ -137,7 +151,7 @@ impl BuddyAllocator {
             while frame + (1 << order) > total_frames {
                 order -= 1;
             }
-            this.free_lists[order as usize].insert(frame);
+            this.free_lists.insert(order, frame);
             this.free_frames += 1 << order;
             frame += 1 << order;
         }
@@ -195,7 +209,7 @@ impl BuddyAllocator {
         // window in which the chosen list can be observed non-empty but
         // popped empty.
         let (found, start) = (order..=MAX_ORDER)
-            .find_map(|o| Some((o, self.free_lists[o as usize].pop()?)))
+            .find_map(|o| Some((o, self.free_lists.pop(o)?)))
             .ok_or(MemError::OutOfMemory { requested_order: order })?;
         // Split down to the requested order, returning upper halves to the
         // free lists.
@@ -203,7 +217,7 @@ impl BuddyAllocator {
         while o > order {
             o -= 1;
             let upper_half = start + (1u64 << o);
-            self.free_lists[o as usize].insert(upper_half);
+            self.free_lists.insert(o, upper_half);
         }
         self.mark_allocated(start, order);
         Ok(FrameBlock { start: PhysFrameNum::new(start), order })
@@ -214,7 +228,7 @@ impl BuddyAllocator {
     /// not on the order-`order` free list.
     pub fn alloc_exact(&mut self, start: PhysFrameNum, order: u32) -> Option<FrameBlock> {
         assert!(order <= MAX_ORDER);
-        if self.free_lists[order as usize].remove(start.raw()) {
+        if self.free_lists.remove(order, start.raw()) {
             self.mark_allocated(start.raw(), order);
             Some(FrameBlock { start, order })
         } else {
@@ -239,15 +253,20 @@ impl BuddyAllocator {
     pub fn alloc_specific_block(&mut self, start: PhysFrameNum, order: u32) -> Option<FrameBlock> {
         let target = start.raw();
         assert_eq!(target % (1u64 << order), 0, "block start must be aligned to its order");
-        if target + (1u64 << order) > self.total_frames {
+        // A free frame lies in exactly one free block, and free buddies
+        // always merge, so the target is inside a free block exactly when
+        // none of its frames is allocated: one bitmap read rejects a miss.
+        if target + (1u64 << order) > self.total_frames
+            || self.allocated.any_in_block(target, order)
+        {
             return None;
         }
         // Find the free block containing the target, smallest order first.
         let (found_start, found_order) = (order..=MAX_ORDER).find_map(|o| {
             let s = target & !((1u64 << o) - 1);
-            self.free_lists[o as usize].contains(s).then_some((s, o))
+            self.free_lists.contains(o, s).then_some((s, o))
         })?;
-        self.free_lists[found_order as usize].remove(found_start);
+        self.free_lists.remove(found_order, found_start);
         // Split toward the target, freeing the sibling halves.
         let mut s = found_start;
         let mut o = found_order;
@@ -255,9 +274,9 @@ impl BuddyAllocator {
             o -= 1;
             let half = 1u64 << o;
             if target < s + half {
-                self.free_lists[o as usize].insert(s + half);
+                self.free_lists.insert(o, s + half);
             } else {
-                self.free_lists[o as usize].insert(s);
+                self.free_lists.insert(o, s);
                 s += half;
             }
         }
@@ -381,15 +400,13 @@ impl BuddyAllocator {
         self.free_frames += 1 << order;
         while order < MAX_ORDER {
             let buddy = start ^ (1u64 << order);
-            if buddy + (1 << order) > self.total_frames
-                || !self.free_lists[order as usize].remove(buddy)
-            {
+            if buddy + (1 << order) > self.total_frames || !self.free_lists.remove(order, buddy) {
                 break;
             }
             start = start.min(buddy);
             order += 1;
         }
-        self.free_lists[order as usize].insert(start);
+        self.free_lists.insert(order, start);
     }
 
     /// Snapshot occupancy statistics.
@@ -397,7 +414,7 @@ impl BuddyAllocator {
         BuddyStats {
             total_frames: self.total_frames,
             free_frames: self.free_frames,
-            free_blocks_per_order: self.free_lists.iter().map(|l| l.len() as u64).collect(),
+            free_blocks_per_order: (0..=MAX_ORDER).map(|o| self.free_lists.len(o) as u64).collect(),
         }
     }
 
@@ -414,7 +431,7 @@ impl BuddyAllocator {
             return 0.0;
         }
         let usable: u64 =
-            (j..=MAX_ORDER).map(|i| (1u64 << i) * self.free_lists[i as usize].len() as u64).sum();
+            (j..=MAX_ORDER).map(|i| (1u64 << i) * self.free_lists.len(i) as u64).sum();
         (self.free_frames - usable) as f64 / self.free_frames as f64
     }
 }
@@ -661,6 +678,42 @@ mod tests {
                 b.free(blk);
             }
             prop_assert_eq!(b.free_frames(), 64);
+        }
+
+        /// `alloc_specific_block` refuses exactly the blocks that run past
+        /// managed memory or hold an allocated frame, checked by brute
+        /// force over every aligned block of a randomly fragmented
+        /// allocator (the bitmap fast-reject must agree with the free
+        /// lists).
+        #[test]
+        fn specific_block_refuses_exactly_taken_or_out_of_range(
+            total in 1u64..2048,
+            seed in any::<u64>(),
+            order in 0u32..=MAX_ORDER,
+        ) {
+            let mut b = BuddyAllocator::new(total);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut live = Vec::new();
+            for _ in 0..rng.gen_range(0..96) {
+                let o = rng.gen_range(0..=4u32);
+                let blk = if rng.gen_bool(0.5) { b.alloc(o) } else { b.alloc_random_block(o, &mut rng) };
+                live.extend(blk.ok());
+            }
+            for _ in 0..live.len() / 2 {
+                b.free(live.swap_remove(rng.gen_range(0..live.len())));
+            }
+            let len = 1u64 << order;
+            for start in (0..total + len).step_by(len as usize) {
+                let free = start + len <= total
+                    && (start..start + len).all(|f| !b.is_allocated(PhysFrameNum::new(f)));
+                let got = b.alloc_specific_block(PhysFrameNum::new(start), order);
+                prop_assert_eq!(got.is_some(), free, "block {} order {}", start, order);
+                if let Some(blk) = got {
+                    prop_assert_eq!(blk, FrameBlock { start: PhysFrameNum::new(start), order });
+                    prop_assert!(blk.frames().all(|f| b.is_allocated(f)));
+                    b.free(blk);
+                }
+            }
         }
 
         /// alloc_specific_frame + free always restores a pristine allocator.

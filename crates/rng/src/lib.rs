@@ -189,7 +189,7 @@ impl Rng for SplitMix64 {
 
 /// xoshiro256++ 1.0 (Blackman & Vigna, public domain): 256-bit state,
 /// period 2²⁵⁶ − 1, the workspace's general-purpose generator.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Xoshiro256PlusPlus {
     s: [u64; 4],
 }

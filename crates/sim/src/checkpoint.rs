@@ -53,36 +53,12 @@ const CODEC_VERSION: u8 = 1;
 /// across runs and platforms (no randomized state, unlike
 /// `DefaultHasher`).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = Fnv1a64::default();
-    hash.update(bytes);
-    hash.0
-}
-
-/// [`fnv1a64`] as a streaming `fmt::Write` sink, so a `Debug` rendering
-/// can be fingerprinted without building the string:
-/// `write!(h, "{x:?}")` leaves `h.0 == fnv1a64(format!("{x:?}").as_bytes())`.
-pub(crate) struct Fnv1a64(pub u64);
-
-impl Default for Fnv1a64 {
-    fn default() -> Self {
-        Fnv1a64(0xcbf2_9ce4_8422_2325)
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
-}
-
-impl Fnv1a64 {
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-impl std::fmt::Write for Fnv1a64 {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.update(s.as_bytes());
-        Ok(())
-    }
+    hash
 }
 
 /// Human-readable checkpoint key for sweep `seq`, task `index`. Purely
@@ -663,10 +639,6 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-        let mut streamed = Fnv1a64::default();
-        std::fmt::Write::write_fmt(&mut streamed, format_args!("{:?}", ("foo", 1.5, [7u8; 3])))
-            .unwrap();
-        assert_eq!(streamed.0, fnv1a64(format!("{:?}", ("foo", 1.5, [7u8; 3])).as_bytes()));
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! - **One trace per generator state.** A trace is a function of its
 //!   [`TraceGen`] alone: the page table is not consulted while
 //!   generating. [`PreparedWorkload::trace`] is therefore shared, keyed
-//!   by an FNV-1a fingerprint of the generator's `Debug` rendering (its
-//!   statics, layout, RNG state and remaining count). A pair whose
+//!   by [`TraceGen::state_fingerprint`] (a hash of its statics, layout,
+//!   RNG state, remaining count and counters). A pair whose
 //!   generator matches a live trace reuses it instead of materializing
 //!   again. On Fig 18's four conditions, Burst and Chunked specs share one
 //!   trace; Incremental specs share one across Normal, THP-off and
@@ -83,7 +83,7 @@
 //! `cloned` on fragmented pairs, and `trace` is `materialized` or
 //! `shared`.
 
-use crate::checkpoint::{fnv1a64, Fnv1a64};
+use crate::checkpoint::fnv1a64;
 use crate::error::SimError;
 use crate::runner::{prepare_run_with, try_prepare_run, Condition, PreparedRun};
 use sipt_mem::{AddressSpace, BuddyAllocator, MemError};
@@ -331,9 +331,7 @@ impl PrepCache {
     /// live trace of an equal generator if there is one, else
     /// materialized now and published for the next.
     fn shared_trace(&self, gen: TraceGen) -> (Arc<MaterializedTrace>, bool) {
-        let mut key = Fnv1a64::default();
-        // Writing to the hasher cannot fail.
-        let _ = std::fmt::Write::write_fmt(&mut key, format_args!("{gen:?}"));
+        let key = gen.state_fingerprint();
         let cell = {
             let mut traces = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
             // Forget slots whose trace died. Only a caller holding a
@@ -342,7 +340,7 @@ impl PrepCache {
                 Arc::strong_count(cell) > 1
                     || cell.lock().unwrap_or_else(PoisonError::into_inner).strong_count() > 0
             });
-            Arc::clone(traces.entry(key.0).or_default())
+            Arc::clone(traces.entry(key).or_default())
         };
         let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(trace) = slot.upgrade() {

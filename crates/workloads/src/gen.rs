@@ -12,6 +12,7 @@ use crate::spec::{AllocPattern, WorkloadSpec};
 use sipt_cpu::{Inst, MemOp, MemRef};
 use sipt_mem::{AddressSpace, BuddyAllocator, MemError, Region, VirtAddr, PAGE_SIZE};
 use sipt_rng::{Rng, SeedableRng, StdRng};
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// The workload's view of its memory: the mmap'd regions flattened into
 /// one linear space of `bytes` bytes.
@@ -62,7 +63,7 @@ impl Layout {
 /// (paper §VI: "only the first access to a page will mispredict; there are
 /// typically many L1 accesses per page"), so the random/chase roles work
 /// in page-bursts rather than drawing a fresh page per access.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 enum Role {
     /// Sequential sweep of `[lo, hi)` at `stride` bytes, wrapping.
     Stream { cursor: u64, stride: u64, lo: u64, hi: u64 },
@@ -84,7 +85,7 @@ enum Role {
     Hot { slice_lo: u64, slice_hi: u64, tiny: u64 },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct StaticMem {
     pc: u64,
     role: Role,
@@ -253,6 +254,22 @@ impl TraceGen {
             cur_static: 0,
             static_run_left: 0,
         })
+    }
+
+    /// A 64-bit fingerprint of the generator's whole state: the statics
+    /// and their roles, the layout's regions, the ratios (by bit
+    /// pattern), the RNG words, the remaining count and the rotation
+    /// counters. Generators that fingerprint alike emit the same stream,
+    /// which is what lets a prep cache share one trace between them.
+    pub fn state_fingerprint(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.statics.hash(&mut h);
+        self.layout.regions.hash(&mut h);
+        (self.mem_ratio.to_bits(), self.store_ratio.to_bits()).hash(&mut h);
+        self.rng.hash(&mut h);
+        (self.remaining, self.alu_rot, self.load_rot, self.last_alu_dst).hash(&mut h);
+        (self.cur_static, self.static_run_left).hash(&mut h);
+        h.finish()
     }
 
     /// The memory layout (for experiments that post-process addresses).
@@ -578,6 +595,20 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
             assert_eq!(gen.layout().bytes(), spec.footprint.div_ceil(4096) * 4096);
         }
+    }
+
+    #[test]
+    fn state_fingerprint_tracks_the_generator_state() {
+        let (a, _a) = build_for("calculix", 5_000);
+        let (b, _b) = build_for("calculix", 5_000);
+        assert_eq!(a.state_fingerprint(), b.state_fingerprint());
+        let (c, _c) = build_for("calculix", 5_001);
+        assert_ne!(a.state_fingerprint(), c.state_fingerprint(), "remaining count");
+        let mut d = a.clone();
+        d.next();
+        assert_ne!(a.state_fingerprint(), d.state_fingerprint(), "advanced RNG and counters");
+        let (e, _e) = build_for("gcc", 5_000);
+        assert_ne!(a.state_fingerprint(), e.state_fingerprint(), "statics and layout");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! say so in the commit message.
 
 use sipt_core::{sipt_32k_2w, BypassKind, L1Policy};
-use sipt_sim::experiments::{ideal, report, smoke_benchmarks};
+use sipt_sim::experiments::{ideal, report, sensitivity, smoke_benchmarks};
 use sipt_sim::{
     prep_cache, run_mix, set_jobs, set_replay_batch, Condition, RunMetrics, Sweep, SystemKind,
     DEFAULT_REPLAY_BATCH,
@@ -164,6 +164,33 @@ fn ablation_fingerprint_is_batch_size_independent() {
                 "ablation payload drifted at replay batch {batch}"
             );
         }
+    });
+}
+
+/// Fig 18's exact payload bytes at smoke scale: the only golden that
+/// runs fragmented memory, THP off and scattered placement, so it pins
+/// the buddy allocator's decisions under every placement the paper
+/// varies (the fig02 and ablation goldens run Linux placement only).
+fn fig18_payload() -> String {
+    report::fig18_json(&sensitivity::fig18(&smoke_benchmarks(), &Condition::quick())).render()
+}
+
+/// Golden fingerprint of the smoke-scale fig18 payload, recorded before
+/// the buddy free lists became hash-free.
+const FIG18_GOLDEN_FNV1A: u64 = 0xA6FB_5101_468B_4676;
+
+#[test]
+fn fig18_payload_matches_golden_fingerprint() {
+    with_exclusive_state(|| {
+        set_jobs(2);
+        let payload = fig18_payload();
+        let got = fnv1a(payload.as_bytes());
+        assert_eq!(
+            got, FIG18_GOLDEN_FNV1A,
+            "fig18 payload fingerprint drifted: observed {got:#018x} \
+             (expected {FIG18_GOLDEN_FNV1A:#018x}). Allocation or placement \
+             changed simulated behaviour; payload was:\n{payload}"
+        );
     });
 }
 
