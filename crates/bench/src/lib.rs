@@ -215,8 +215,8 @@ fn parse_valued_flag<I: Iterator<Item = String>>(
 /// `SIPT_JSON=1`), the sweep parallelism (`--jobs N`, `--jobs=N`, or
 /// `SIPT_JOBS=N`; default: all host cores), the sweep isolation mode
 /// (`--isolation thread|process` or `SIPT_ISOLATION`; `process` runs
-/// sweep shards in supervised child processes that survive aborts and
-/// segfaults), the resilience switches
+/// sweep tasks in `--jobs` supervised worker processes, so an abort or a
+/// segfault costs one worker, not the run), the resilience switches
 /// (`--resume`, `--task-timeout MS`, `--task-retries N`), the
 /// workload-preparation cache switch (`--no-prep-cache` or
 /// `SIPT_PREP_CACHE=0`; the cache is on by default and does not change
@@ -248,10 +248,13 @@ impl Cli {
     /// a usage message rather than silently running serial. Also installs
     /// the SIGTERM/SIGINT drain handlers so an interrupted sweep flushes
     /// its checkpoint and exits with resume instructions instead of dying
-    /// mid-write. In `--worker-shard` re-executions (spawned by the
-    /// process-isolation supervisor) the JSON report and `--resume`
-    /// checkpointing are suppressed: the worker streams its results over
-    /// the wire protocol and must never overwrite the parent's artifacts.
+    /// mid-write. In `--worker-shard` re-executions (the process-isolation
+    /// supervisor's workers, recognised by `SIPT_WORKER_SWEEP`; the flag
+    /// name is historical) the JSON report, span tracing and `--resume`
+    /// checkpointing are suppressed: the worker replays `main` to its
+    /// sweep, runs the slots the supervisor's `run` commands name, streams
+    /// the results over the wire protocol, and exits when its stdin
+    /// closes, so it never overwrites the parent's artifacts.
     pub fn from_args() -> Self {
         sipt_sim::install_drain_handlers();
         if let Some(jobs) = jobs_from_args() {

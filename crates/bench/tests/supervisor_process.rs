@@ -1,7 +1,8 @@
 //! End-to-end tests of the process-isolation sweep supervisor against
-//! the real `fig02` binary: payload byte-identity across isolation modes
-//! and job counts, abort containment with backoff respawn, respawn-budget
-//! exhaustion and shard quarantine, graceful SIGTERM drain with
+//! the real `fig02` and `fig18` binaries: payload byte-identity across
+//! isolation modes and job counts, abort containment with backoff respawn,
+//! respawn-budget exhaustion and per-task quarantine, graceful SIGTERM
+//! drain with
 //! checkpoint flush and `--resume` round-trip, and the scoped watchdog
 //! kill (process mode kills only the offending worker; thread mode keeps
 //! the documented exit-124 fallback).
@@ -34,23 +35,12 @@ fn figure_cmd(exe: &str, dir: &Path, envs: &[(&str, &str)], extra_args: &[&str])
     cmd.arg("quick").arg("--json").args(extra_args);
     cmd.env("SIPT_RESULTS_DIR", dir);
     // Ambient knobs from the outer environment must not leak in; the
-    // worker-assignment vars especially would turn the run into a shard.
-    for var in [
-        "SIPT_FAULT_INJECT",
-        "SIPT_AUDIT",
-        "SIPT_TASK_TIMEOUT_MS",
-        "SIPT_TASK_RETRIES",
-        "SIPT_JOBS",
-        "SIPT_ISOLATION",
-        "SIPT_WATCHDOG_KILL",
-        "SIPT_SHARD_SIZE",
-        "SIPT_RESPAWN_BUDGET",
-        "SIPT_RESPAWN_BACKOFF_MS",
-        "SIPT_WORKER_SLOTS",
-        "SIPT_WORKER_SWEEP",
-        "SIPT_TRACE_SPANS",
-    ] {
-        cmd.env_remove(var);
+    // `SIPT_WORKER_*` target vars especially would turn the run into a
+    // worker.
+    for (var, _) in std::env::vars_os() {
+        if var.to_string_lossy().starts_with("SIPT_") {
+            cmd.env_remove(var);
+        }
     }
     for (k, v) in envs {
         cmd.env(k, v);
@@ -93,8 +83,9 @@ fn supervisor_field(report: &Json, field: &str) -> f64 {
 }
 
 /// The headline byte-identity contract: `--isolation process` merges
-/// sharded worker results into a payload byte-identical to the default
-/// thread-isolation run, at one worker and at eight.
+/// worker results into a payload byte-identical to the default
+/// thread-isolation run, at one, two and eight workers, and a clean run
+/// spawns exactly one worker process per job and sweep.
 #[test]
 fn process_isolation_payload_is_byte_identical_to_thread() {
     let thread_dir = temp_results_dir("thread");
@@ -112,7 +103,7 @@ fn process_isolation_payload_is_byte_identical_to_thread() {
         "thread-mode payload must match the kernel_bit_identity golden"
     );
 
-    for jobs in ["1", "8"] {
+    for jobs in ["1", "2", "8"] {
         let dir = temp_results_dir(&format!("process-j{jobs}"));
         let out = run_fig02(&dir, &[], &["--jobs", jobs, "--isolation", "process"]);
         assert!(out.status.success(), "process run (jobs {jobs}) passes: {out:?}");
@@ -135,14 +126,19 @@ fn process_isolation_payload_is_byte_identical_to_thread() {
         assert_eq!(supervisor_field(&report, "results_merged"), 24.0);
         assert_eq!(supervisor_field(&report, "worker_deaths"), 0.0);
         assert_eq!(supervisor_field(&report, "quarantined_tasks"), 0.0);
-        assert!(supervisor_field(&report, "workers_spawned") >= 1.0);
+        let sweeps = supervisor_field(&report, "sweeps");
+        assert!(sweeps >= 1.0);
+        assert_eq!(
+            supervisor_field(&report, "workers_spawned"),
+            sweeps * jobs.parse::<f64>().unwrap()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&thread_dir);
 }
 
 /// Preparation-cache lookups happen inside the workers under process
-/// isolation; each worker reports its shard's hits and misses, so the
+/// isolation; each worker reports its own hits and misses, so the
 /// parent's `parallelism.prep_cache` block counts as many lookups as a
 /// thread-mode run of the same sweep. (The hit/miss split differs: each
 /// worker process has a cache of its own.)
@@ -213,11 +209,36 @@ fn process_mode_report_counts_worker_snapshots_and_shared_traces() {
     assert_eq!(runs[1], runs[0], "process mode must count its worker's snapshots and traces");
 }
 
+/// Fig 18 (fragmented, THP-off and scattered placement, four conditions
+/// per benchmark) under both isolations at two jobs: the supervisor's
+/// group claims and tail steals must merge into the thread pool's payload
+/// byte for byte.
+#[test]
+fn fig18_process_payload_matches_thread_at_two_jobs() {
+    let mut payloads = Vec::new();
+    for isolation in ["thread", "process"] {
+        let dir = temp_results_dir(&format!("fig18-j2-{isolation}"));
+        let out = figure_cmd(
+            env!("CARGO_BIN_EXE_fig18"),
+            &dir,
+            &[],
+            &["--jobs", "2", "--isolation", isolation],
+        )
+        .output()
+        .expect("fig18 spawns");
+        assert!(out.status.success(), "{isolation} run passes: {out:?}");
+        let text = std::fs::read_to_string(dir.join("fig18.json")).expect("fig18.json written");
+        payloads.push(payload_bytes(&json::parse(&text).expect("valid JSON")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(payloads[1], payloads[0], "fig18 process payload differs from thread at --jobs 2");
+}
+
 /// Abort containment: `SIPT_FAULT_INJECT=abort:2:once` kills a worker
 /// process outright (`catch_unwind` can't see it). The supervisor
-/// respawns the shard with an attempt offset so the `:once` fault does
-/// not re-fire, and the completed run is byte-identical to a fault-free
-/// one — the paper-facing payload never shows the crash.
+/// re-queues the task with its death count so the `:once` fault does not
+/// re-fire, and the completed run is byte-identical to a fault-free one —
+/// the paper-facing payload never shows the crash.
 #[test]
 fn aborted_worker_is_respawned_and_payload_survives_byte_identical() {
     let clean_dir = temp_results_dir("abort-clean");
@@ -248,9 +269,9 @@ fn aborted_worker_is_respawned_and_payload_survives_byte_identical() {
 }
 
 /// A persistent abort (fires on every attempt) exhausts the respawn
-/// budget: the shard is quarantined, its unfinished tasks become
-/// permanent failures in the report's failure table, the other shard's
-/// results survive, and the binary exits 1.
+/// budget of that one task: it alone is quarantined as a permanent
+/// failure in the report's failure table, every other task (its prep
+/// group's included) merges, and the binary exits 1.
 #[test]
 fn respawn_budget_exhaustion_quarantines_the_poison_shard() {
     let dir = temp_results_dir("quarantine");
@@ -261,23 +282,23 @@ fn respawn_budget_exhaustion_quarantines_the_poison_shard() {
     );
     assert_eq!(out.status.code(), Some(1), "quarantined tasks exit 1: {out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("quarantining shard"), "quarantine announced: {stderr}");
+    assert!(stderr.contains("quarantining task 2"), "quarantine announced: {stderr}");
     assert!(stderr.contains("task failures"), "failure table printed: {stderr}");
 
     let report = read_report(&dir);
-    assert_eq!(supervisor_field(&report, "quarantined_shards"), 1.0);
-    assert!(supervisor_field(&report, "quarantined_tasks") >= 1.0);
-    // Budget of 2 respawns => 3 deaths of the poison shard, then quarantine.
+    assert_eq!(supervisor_field(&report, "quarantined_tasks"), 1.0);
+    // Budget of 2 respawns => 3 deaths of the poison task, then quarantine.
     assert_eq!(supervisor_field(&report, "worker_deaths"), 3.0);
     assert_eq!(supervisor_field(&report, "respawns"), 2.0);
-    // The sibling shard's results all merged.
-    assert!(supervisor_field(&report, "results_merged") >= 12.0);
+    // Every other task merged.
+    assert_eq!(supervisor_field(&report, "results_merged"), 23.0);
     let failures = report.path("resilience.failures").and_then(Json::as_arr).expect("failures[]");
-    assert!(!failures.is_empty());
+    assert_eq!(failures.len(), 1, "only the poison task fails: {failures:?}");
+    assert_eq!(failures[0].get("task").and_then(Json::as_f64), Some(2.0));
     assert!(failures[0]
         .get("panic_msg")
         .and_then(Json::as_str)
-        .is_some_and(|m| m.contains("quarantined shard")));
+        .is_some_and(|m| m.contains("quarantined task")));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -334,8 +355,8 @@ fn sigterm_drains_flushes_checkpoint_and_resume_roundtrips() {
 
 /// The scoped watchdog kill: under process isolation,
 /// `SIPT_WATCHDOG_KILL=1` kills only the worker holding the stuck task.
-/// The victim slot is recorded as a failure, the shard's other tasks are
-/// respawned and complete, and the run exits 1 (failure table) — never
+/// The victim slot is recorded as a failure, a fresh worker takes over
+/// the rest of the sweep, and the run exits 1 (failure table) — never
 /// the thread-mode 124. The generous timeout leaves room for each fresh
 /// worker process's cold workload-preparation on its first task.
 #[test]

@@ -331,9 +331,10 @@ pub fn watchdog_kill() -> bool {
 ///
 /// Task ids are process-global submission indices (0-based, across all
 /// sweeps in the process), so injection is deterministic regardless of
-/// worker scheduling. `:once` counts attempts across worker *respawns*
-/// too: a shard worker re-executed after a crash carries an attempt
-/// offset ([`set_attempt_offset`]) so the fault does not re-fire.
+/// worker scheduling. `:once` counts attempts across worker *deaths*
+/// too: a task re-run after its worker process died numbers its attempts
+/// after the dead workers' (see [`crate::wire::Run`]), so the fault does
+/// not re-fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSpec {
     /// Panic inside the task.
@@ -349,8 +350,8 @@ pub enum FaultSpec {
     Abort {
         /// Global task id.
         task: usize,
-        /// Inject only on the first (effective) attempt — a respawned
-        /// shard worker then completes the task.
+        /// Inject only on the task's first attempt — the worker respawned
+        /// after the abort then completes the task.
         once: bool,
     },
     /// Sleep at task start.
@@ -418,36 +419,26 @@ pub fn injected_fault_count() -> u64 {
     INJECTED.load(Ordering::Relaxed)
 }
 
-/// Attempts already spent on this process's tasks in *previous* worker
-/// spawns (shard workers respawned after a crash). Added to the in-process
-/// attempt number so `:once` faults are once per task, not once per spawn.
-static ATTEMPT_OFFSET: AtomicU64 = AtomicU64::new(0);
-
-/// Set the cross-spawn attempt offset (shard workers call this with
-/// `spawn_attempt × attempts_per_spawn` before executing).
-pub fn set_attempt_offset(offset: u32) {
-    ATTEMPT_OFFSET.store(u64::from(offset), Ordering::Relaxed);
-}
-
 /// Fault-injection hook at task start: sleeps for `slow` directives,
 /// panics for matching `panic` directives, and aborts the process for
 /// `abort` directives. Called by the pool inside the `catch_unwind`
 /// boundary (which contains the panics but, by design, not the aborts).
+/// `attempt` counts every attempt at the task so far, including those of
+/// worker processes that died running it, so `:once` means attempt 0.
 pub fn inject_at_task_start(task: usize, attempt: u32) {
-    let attempt_eff = u64::from(attempt) + ATTEMPT_OFFSET.load(Ordering::Relaxed);
     for fault in armed_faults() {
         match *fault {
             FaultSpec::Slow { task: t, ms } if t == task => {
                 INJECTED.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(std::time::Duration::from_millis(ms));
             }
-            FaultSpec::Panic { task: t, once } if t == task && (!once || attempt_eff == 0) => {
+            FaultSpec::Panic { task: t, once } if t == task && (!once || attempt == 0) => {
                 INJECTED.fetch_add(1, Ordering::Relaxed);
                 panic!("injected fault: panic at task {task} (attempt {attempt})");
             }
-            FaultSpec::Abort { task: t, once } if t == task && (!once || attempt_eff == 0) => {
+            FaultSpec::Abort { task: t, once } if t == task && (!once || attempt == 0) => {
                 INJECTED.fetch_add(1, Ordering::Relaxed);
-                eprintln!("injected fault: abort at task {task} (attempt {attempt_eff})");
+                eprintln!("injected fault: abort at task {task} (attempt {attempt})");
                 std::process::abort();
             }
             _ => {}
@@ -558,15 +549,6 @@ mod tests {
         assert!(parse_fault_spec("abort:1:twice").is_err());
         assert!(parse_fault_spec("melt:3").is_err());
         assert!(parse_fault_spec("slow:1:fast").is_err());
-    }
-
-    #[test]
-    fn attempt_offset_shifts_once_semantics() {
-        // With an offset, attempt 0 of a respawned worker is no longer
-        // "the first attempt" — a `:once` panic must not re-fire.
-        set_attempt_offset(2);
-        inject_at_task_start(987_654, 0); // would panic if offset ignored
-        set_attempt_offset(0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! re-executions under the process-isolation supervisor
 //! ([`crate::supervisor`]). Every simulated bit derives from the run's
 //! own seeded RNG and configuration, never from process identity, which
-//! is what makes sharded results byte-identical to in-process ones.
+//! is what makes worker-process results byte-identical to in-process ones.
 
 use crate::error::SimError;
 use crate::machine::{Machine, SystemKind};

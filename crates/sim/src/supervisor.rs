@@ -1,43 +1,53 @@
-//! The process-sharded sweep supervisor: crash-proof workers, backoff
-//! respawn, quarantine, and graceful drain.
+//! The process-isolation sweep supervisor: crash-proof worker processes
+//! that claim work from the pool's queue, backoff respawn, per-task
+//! quarantine, and graceful drain.
 //!
 //! PR 3's `catch_unwind` isolation contains *panics*, but an `abort()`,
 //! a segfault, or the OOM killer takes the whole process — and with it
 //! every completed-but-unreported task. With `--isolation process` (or
 //! `SIPT_ISOLATION=process`) a [`crate::Sweep`] no longer runs its tasks
-//! in-process: the pending slots are partitioned into **shards** keyed by
-//! the checkpoint fingerprints, and for each shard the supervisor
-//! re-execs the *current binary* in worker mode, supervising the fleet
-//! over a pipe-based protocol ([`crate::wire`]).
+//! in-process: the supervisor re-execs the *current binary* as `jobs`
+//! worker processes and supervises them over a pipe-based protocol
+//! ([`crate::wire`]).
 //!
 //! Workers are deterministic replays, not serialized closures: a worker
 //! re-runs the binary's `main`, skips every sweep before its target
-//! (inert placeholders), executes exactly its assigned slots of the
-//! target sweep, streams each result as bit-exact checkpoint-codec bytes,
+//! (inert placeholders), says `hello`, and then runs whatever slots of
+//! the target sweep the supervisor sends it, one `run` command at a time,
+//! streaming each result as bit-exact checkpoint-codec bytes. Closing its
+//! stdin tells it to finish (or drain): it reports its prep-cache counts
 //! and exits. Because every run is a pure function of its
 //! [`crate::RunRequest`], the merged results are byte-identical to
 //! in-process execution — the kernel-bit-identity fingerprints hold
 //! across `--isolation thread|process` at any job count.
 //!
+//! Scheduling is the thread pool's: the supervisor owns one
+//! [`GroupQueue`] keyed by [`crate::prep_cache::fingerprint`], and
+//! whenever a worker says `hello` or resolves a slot it claims that
+//! worker's next slot with the same [`GroupQueue::claim`] a pool thread
+//! calls — whole prep groups first, single tasks stolen at the tail.
+//!
 //! Fault containment policy:
 //!
-//! - a dead worker (abort, signal, OOM-kill, nonzero exit) is respawned
-//!   on its shard's unfinished slots with exponential backoff, up to
-//!   `SIPT_RESPAWN_BUDGET` respawns per shard;
-//! - a shard that exhausts the budget is **quarantined**: its unfinished
-//!   slots become permanent [`TaskFailure`]s (placeholder metrics,
-//!   failure table, exit 1) instead of being retried forever;
+//! - a worker that dies (abort, signal, OOM-kill, nonzero exit, protocol
+//!   corruption) with a slot in flight charges that *slot*: the slot is
+//!   re-queued after an exponential backoff and the worker respawned, up
+//!   to `SIPT_RESPAWN_BUDGET` deaths of the slot; one death more
+//!   **quarantines** just that slot as a permanent [`TaskFailure`]
+//!   (placeholder metrics, failure table, exit 1);
+//! - a death with nothing in flight (spawn failure, no hello before
+//!   `SIPT_WORKER_SPAWN_TIMEOUT_MS`, corruption between tasks) charges
+//!   the *worker slot*; a slot over budget retires, and when every slot
+//!   has retired the unfinished slots are quarantined — so a sweep
+//!   respawns at most `jobs × (budget + 1)` workers for such deaths;
 //! - `SIPT_WATCHDOG_KILL=1` kills only the offending *worker* (the
-//!   in-flight task is failed, the rest of the shard respawns without
-//!   charging the budget) — exit 124 remains the documented thread-mode
-//!   fallback;
-//! - protocol corruption (malformed sentinel lines, fingerprint
-//!   mismatches, undecodable payloads) poisons the worker and
-//!   quarantines its shard immediately;
-//! - SIGTERM/SIGINT drain the fleet gracefully: no new shard launches,
-//!   each worker finishes its in-flight task and exits, merged partial
-//!   results are already in the checkpoint, and the run exits
-//!   [`sipt_signal::EXIT_DRAINED`] with resume instructions.
+//!   in-flight task is failed, the worker slot respawns without charging
+//!   any budget) — exit 124 remains the documented thread-mode fallback;
+//! - SIGTERM/SIGINT drain the fleet gracefully: no new work is handed
+//!   out, every worker's stdin is closed so it finishes its in-flight
+//!   task and exits, merged partial results are already in the
+//!   checkpoint, and the run exits [`sipt_signal::EXIT_DRAINED`] with
+//!   resume instructions.
 //!
 //! Everything the supervisor observed lands in the schema-v6
 //! `resilience.supervisor` report block ([`supervisor_json`]).
@@ -46,11 +56,10 @@ use crate::checkpoint::{self, CheckpointHandle};
 use crate::error::SimError;
 use crate::metrics::RunMetrics;
 use crate::resilience::{self, TaskFailure, WatchdogFlag};
-use crate::sweep::{execute_attempts, record_profile, ParallelismProfile, RunRequest};
+use crate::sweep::{execute_attempts, record_profile, GroupQueue, ParallelismProfile, RunRequest};
 use crate::wire::{self, Parsed, WorkerMsg};
 use sipt_telemetry::json::Json;
 use sipt_telemetry::{span, Span};
-use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write as _};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,8 +77,8 @@ pub enum Isolation {
     /// In-process worker threads with `catch_unwind` (the default).
     /// Contains panics; cannot contain aborts, segfaults, or OOM kills.
     Thread,
-    /// One supervised subprocess per shard. Contains everything short of
-    /// the supervisor itself dying.
+    /// Supervised worker subprocesses. Contains everything short of the
+    /// supervisor itself dying.
     Process,
 }
 
@@ -143,28 +152,19 @@ pub fn install_drain_handlers() {
 
 /// Target sweep sequence number (env, worker side).
 const ENV_SWEEP: &str = "SIPT_WORKER_SWEEP";
-/// Comma-separated sweep-local slot indices assigned to this worker.
-const ENV_SLOTS: &str = "SIPT_WORKER_SLOTS";
 /// The parent's `base_id` for the target sweep, so fault-injection task
 /// ids line up even if replay allocated ids differently.
 const ENV_BASE: &str = "SIPT_WORKER_BASE";
-/// Spawn attempt of this shard (0 = first spawn), offsetting the
-/// fault-injection attempt counter so `:once` faults stay once-ever.
-const ENV_ATTEMPT: &str = "SIPT_WORKER_ATTEMPT";
 /// Display/profile worker slot (0-based, < jobs).
 const ENV_SLOT: &str = "SIPT_WORKER_SLOT";
 
-/// A worker's assignment, decoded from the environment.
+/// What a worker serves, decoded from the environment.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct WorkerShard {
-    /// Sweep sequence number to execute.
+pub(crate) struct WorkerTarget {
+    /// Sweep sequence number to serve.
     pub sweep_seq: usize,
-    /// Sweep-local slots to run, in order.
-    pub slots: Vec<usize>,
     /// Parent-side `base_id` of the target sweep.
     pub base_id: usize,
-    /// Spawn attempt (0 = first spawn of this shard).
-    pub attempt: u32,
     /// Worker slot for profile/failure attribution.
     pub worker_slot: usize,
 }
@@ -176,43 +176,31 @@ fn parse_env<T: std::str::FromStr>(name: &str) -> Option<T> {
 /// Whether this process is a re-exec'd `--worker-shard` worker.
 pub fn worker_mode() -> bool {
     static PARSED: OnceLock<bool> = OnceLock::new();
-    *PARSED.get_or_init(|| std::env::var_os(ENV_SLOTS).is_some())
+    *PARSED.get_or_init(|| std::env::var_os(ENV_SWEEP).is_some())
 }
 
-/// The worker assignment, parsed once. `None` outside worker mode; a
-/// malformed assignment in worker mode is a protocol error (exit 3) —
-/// there is no sensible fallback for a worker that cannot know its work.
-pub(crate) fn worker_shard() -> Option<&'static WorkerShard> {
-    static PARSED: OnceLock<Option<WorkerShard>> = OnceLock::new();
+/// The worker's target, parsed once. `None` outside worker mode; a
+/// malformed target in worker mode is a protocol error (exit 3) — there
+/// is no sensible fallback for a worker that cannot know its sweep.
+pub(crate) fn worker_target() -> Option<&'static WorkerTarget> {
+    static PARSED: OnceLock<Option<WorkerTarget>> = OnceLock::new();
     PARSED
         .get_or_init(|| {
             if !worker_mode() {
                 return None;
             }
             let decoded = (|| {
-                let slots_raw = std::env::var(ENV_SLOTS).ok()?;
-                let mut slots = Vec::new();
-                for field in slots_raw.split(',').filter(|s| !s.trim().is_empty()) {
-                    slots.push(field.trim().parse().ok()?);
-                }
-                if slots.is_empty() {
-                    return None;
-                }
-                Some(WorkerShard {
+                Some(WorkerTarget {
                     sweep_seq: parse_env(ENV_SWEEP)?,
-                    slots,
                     base_id: parse_env(ENV_BASE)?,
-                    attempt: parse_env(ENV_ATTEMPT)?,
                     worker_slot: parse_env(ENV_SLOT)?,
                 })
             })();
-            match decoded {
-                Some(shard) => Some(shard),
-                None => {
-                    eprintln!("worker: malformed shard assignment in environment; exiting");
-                    std::process::exit(3);
-                }
+            if decoded.is_none() {
+                eprintln!("worker: malformed worker target in environment; exiting");
+                std::process::exit(3);
             }
+            decoded
         })
         .as_ref()
 }
@@ -225,130 +213,77 @@ fn emit(msg: &WorkerMsg) {
     let _ = out.flush();
 }
 
-/// Execute this worker's assigned shard of the target sweep and exit.
+/// Serve the target sweep's `run` commands until stdin closes, then exit.
 ///
-/// Runs each assigned slot through the same pipeline as the in-process
-/// pool — simulate, stamp the worker id, injected bit flips, audit —
-/// with the same retry budget, and streams every outcome to the
-/// supervisor. Checkpoint appends happen on the *parent* side (the
-/// worker's results travel in the identical byte codec), so a torn
-/// worker never corrupts the checkpoint file.
-pub(crate) fn run_worker_shard(
-    requests: Vec<RunRequest>,
-    shard: &WorkerShard,
+/// Runs each slot through the same pipeline as the in-process pool
+/// ([`crate::sweep::run_task`]) with the same retry budget, and answers
+/// every command with `done` or `fail`. Checkpoint appends happen on the
+/// *parent* side (the worker's results travel in the identical byte
+/// codec), so a torn worker never corrupts the checkpoint file.
+pub(crate) fn run_worker(
+    requests: &[RunRequest],
+    target: &WorkerTarget,
     capacity: usize,
     sweep_seq: usize,
 ) -> ! {
-    if sweep_seq != shard.sweep_seq {
+    if sweep_seq != target.sweep_seq {
         eprintln!(
             "worker: reached sweep {sweep_seq} while targeting sweep {} — \
              the replay diverged; exiting",
-            shard.sweep_seq
+            target.sweep_seq
         );
         std::process::exit(3);
     }
     resilience::install_quiet_panic_hook();
-    // `:once` faults must be once per *task*, not once per spawn: offset
-    // the attempt counter by the attempts already spent in prior spawns.
-    resilience::set_attempt_offset(shard.attempt * (resilience::task_retries() + 1));
-    emit(&WorkerMsg::Hello { sweep_seq, tasks: shard.slots.len() });
+    emit(&WorkerMsg::Hello { sweep_seq, requests: requests.len() });
 
-    // Liveness beacon, decoupled from task execution so a long simulation
-    // never looks like a hang.
-    std::thread::spawn(|| loop {
-        std::thread::sleep(Duration::from_millis(200));
-        emit(&WorkerMsg::Heartbeat);
-    });
-    // The supervisor's only downstream channel: a `drain` line on stdin
-    // raises the same flag SIGTERM would.
-    std::thread::spawn(|| {
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
-            if line.trim() == wire::DRAIN_COMMAND {
-                sipt_signal::request_drain();
-            }
-        }
-    });
-
-    // The shard's own preparation-cache counts, reported when it ends.
     let prep_start = crate::prep_cache::stats();
-    let emit_prep_counts = || {
-        let now = crate::prep_cache::stats();
-        emit(&WorkerMsg::PrepCache {
-            hits: now.hits.saturating_sub(prep_start.hits),
-            misses: now.misses.saturating_sub(prep_start.misses),
-            fragment_builds: now.fragment_builds.saturating_sub(prep_start.fragment_builds),
-            shared_traces: now.shared_traces.saturating_sub(prep_start.shared_traces),
-        });
-    };
     let attempts = resilience::task_retries() + 1;
-    for (completed, &slot) in shard.slots.iter().enumerate() {
-        if sipt_signal::drain_requested() {
-            emit_prep_counts();
-            emit(&WorkerMsg::Drained { completed });
-            std::process::exit(0);
-        }
-        let Some(req) = requests.get(slot) else {
-            eprintln!("worker: assigned slot {slot} beyond sweep of {}; exiting", requests.len());
+    for line in std::io::stdin().lock().lines() {
+        let Ok(line) = line else { break };
+        let run = wire::Run::parse(&line).unwrap_or_else(|e| {
+            eprintln!("worker: {e}; exiting");
+            std::process::exit(3);
+        });
+        let Some(req) = requests.get(run.slot) else {
+            eprintln!("worker: slot {} beyond sweep of {}; exiting", run.slot, requests.len());
             std::process::exit(3);
         };
-        let id = shard.base_id + slot;
-        emit(&WorkerMsg::Start { slot });
-        let fingerprint = req.fingerprint();
-        let worker_slot = shard.worker_slot;
-        let mut task = |worker: usize| -> Result<RunMetrics, TaskFailure> {
-            let t0 = Instant::now();
-            let mut metrics = match crate::runner::try_run_spec_with_trace_capacity(
-                &req.spec,
-                req.l1.clone(),
-                req.system,
-                &req.cond,
-                capacity,
-            ) {
-                Ok(metrics) => metrics,
-                Err(e) => {
-                    return Err(TaskFailure {
-                        task: id,
-                        label: req.label.clone(),
-                        worker,
-                        panic_msg: e.to_string(),
-                        elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
-                        attempts: 1,
-                    });
-                }
-            };
-            metrics.phases.worker = worker;
-            if resilience::inject_bit_flip(id) {
-                metrics.sipt.accesses ^= 1;
-            }
-            if crate::audit::enabled() {
-                if let Err(e) = crate::audit::check_metrics(&metrics) {
-                    panic!("{e}");
-                }
-            }
-            Ok(metrics)
-        };
-        let (outcome, _busy) = execute_attempts(id, &req.label, worker_slot, attempts, &mut task);
-        match outcome.and_then(|typed| typed) {
-            Ok(metrics) => {
-                emit(&WorkerMsg::Done {
-                    slot,
-                    fingerprint,
-                    metrics: checkpoint::encode_metrics(&metrics),
-                });
-            }
-            Err(failure) => {
-                emit(&WorkerMsg::Fail {
-                    slot,
-                    attempts: failure.attempts,
-                    elapsed_ms: failure.elapsed_ms,
-                    message: failure.panic_msg,
-                });
-            }
-        }
+        let id = target.base_id + run.slot;
+        // Attempts of the workers that died running this slot came first.
+        let first_attempt = run.prior_deaths.saturating_mul(attempts);
+        let mut task = |worker: usize| crate::sweep::run_task(req, id, capacity, worker);
+        let (outcome, _busy) = execute_attempts(
+            id,
+            &req.label,
+            target.worker_slot,
+            first_attempt,
+            attempts,
+            &mut task,
+        );
+        emit(&match outcome.and_then(|typed| typed) {
+            Ok(metrics) => WorkerMsg::Done {
+                slot: run.slot,
+                fingerprint: req.fingerprint(),
+                metrics: checkpoint::encode_metrics(&metrics),
+            },
+            Err(failure) => WorkerMsg::Fail {
+                slot: run.slot,
+                attempts: failure.attempts,
+                elapsed_ms: failure.elapsed_ms,
+                message: failure.panic_msg,
+            },
+        });
     }
-    emit_prep_counts();
+
+    // End of input: the sweep is done or draining.
+    let now = crate::prep_cache::stats();
+    emit(&WorkerMsg::PrepCache {
+        hits: now.hits.saturating_sub(prep_start.hits),
+        misses: now.misses.saturating_sub(prep_start.misses),
+        fragment_builds: now.fragment_builds.saturating_sub(prep_start.fragment_builds),
+        shared_traces: now.shared_traces.saturating_sub(prep_start.shared_traces),
+    });
     std::process::exit(0);
 }
 
@@ -376,14 +311,11 @@ pub(crate) fn skipped_sweep_result(requests: &[RunRequest]) -> crate::sweep::Swe
 #[derive(Debug, Default, Clone)]
 struct Stats {
     sweeps: u64,
-    shards: u64,
     workers_spawned: u64,
     respawns: u64,
     worker_deaths: u64,
-    quarantined_shards: u64,
     quarantined_tasks: u64,
     watchdog_kills: u64,
-    heartbeats: u64,
     results_merged: u64,
     fingerprint_mismatches: u64,
     protocol_errors: u64,
@@ -406,14 +338,11 @@ pub fn supervisor_json() -> Option<Json> {
     Some(Json::obj([
         ("isolation", Json::str(Isolation::Process.name())),
         ("sweeps", Json::u64(s.sweeps)),
-        ("shards", Json::u64(s.shards)),
         ("workers_spawned", Json::u64(s.workers_spawned)),
         ("respawns", Json::u64(s.respawns)),
         ("worker_deaths", Json::u64(s.worker_deaths)),
-        ("quarantined_shards", Json::u64(s.quarantined_shards)),
         ("quarantined_tasks", Json::u64(s.quarantined_tasks)),
         ("watchdog_kills", Json::u64(s.watchdog_kills)),
-        ("heartbeats", Json::u64(s.heartbeats)),
         ("results_merged", Json::u64(s.results_merged)),
         ("fingerprint_mismatches", Json::u64(s.fingerprint_mismatches)),
         ("protocol_errors", Json::u64(s.protocol_errors)),
@@ -427,45 +356,35 @@ pub fn supervisor_json() -> Option<Json> {
 // Supervisor policy knobs
 // ---------------------------------------------------------------------------
 
-/// Maximum respawns per shard before quarantine (`SIPT_RESPAWN_BUDGET`,
-/// default 2).
+/// Deaths a task or worker slot may cause before it is quarantined or
+/// retired (`SIPT_RESPAWN_BUDGET`, default 2).
 pub fn respawn_budget() -> u32 {
     static PARSED: OnceLock<u64> = OnceLock::new();
     *PARSED.get_or_init(|| crate::env::parse_or_warn_default("SIPT_RESPAWN_BUDGET", 2).min(64))
         as u32
 }
 
-/// Base backoff before a respawn, doubling per respawn of the same shard
-/// (`SIPT_RESPAWN_BACKOFF_MS`, default 25).
+/// Base backoff before a respawn, doubling per death of the same task or
+/// worker slot (`SIPT_RESPAWN_BACKOFF_MS`, default 25).
 pub fn respawn_backoff_ms() -> u64 {
     static PARSED: OnceLock<u64> = OnceLock::new();
     *PARSED.get_or_init(|| {
-        crate::env::parse_or_warn_default("SIPT_RESPAWN_BACKOFF_MS", 25).min(60_000)
+        crate::env::parse_or_warn_default("SIPT_RESPAWN_BACKOFF_MS", 25).min(MAX_BACKOFF_MS)
     })
 }
 
-/// Shard size override (`SIPT_SHARD_SIZE`); default is one shard per
-/// worker (`ceil(pending / jobs)`), so a clean fleet spawns exactly
-/// `jobs` processes.
-fn shard_size_for(pending: usize, jobs: usize) -> usize {
-    static PARSED: OnceLock<Option<u64>> = OnceLock::new();
-    let explicit = *PARSED.get_or_init(|| {
-        crate::env::parse_or_warn("SIPT_SHARD_SIZE").filter(|&n| {
-            if n == 0 {
-                eprintln!("warning: SIPT_SHARD_SIZE=0 is invalid (need >= 1); using the default");
-            }
-            n > 0
-        })
-    });
-    match explicit {
-        Some(n) => (n as usize).min(pending.max(1)),
-        None => pending.div_ceil(jobs.max(1)).max(1),
-    }
+/// Ceiling of the base backoff and of every doubled backoff.
+const MAX_BACKOFF_MS: u64 = 60_000;
+
+/// The wait before the retry that follows death number `deaths` (1-based)
+/// of one task or worker slot: `base` doubled per earlier death, never
+/// more than [`MAX_BACKOFF_MS`].
+fn backoff_ms(base: u64, deaths: u32) -> u64 {
+    (base << deaths.saturating_sub(1).min(16)).min(MAX_BACKOFF_MS)
 }
 
-/// How long a fresh worker may stay silent (no hello, no heartbeat)
-/// before it is presumed wedged (`SIPT_WORKER_SPAWN_TIMEOUT_MS`,
-/// default 30 s).
+/// How long a fresh worker may stay silent (no hello) before it is
+/// presumed wedged (`SIPT_WORKER_SPAWN_TIMEOUT_MS`, default 30 s).
 fn spawn_timeout_ms() -> u64 {
     static PARSED: OnceLock<u64> = OnceLock::new();
     *PARSED.get_or_init(|| {
@@ -504,41 +423,51 @@ pub(crate) fn exit_for_drain(done: usize, total: usize) -> ! {
 // The supervisor proper (the parent side)
 // ---------------------------------------------------------------------------
 
-/// One shard: a contiguous chunk of pending sweep slots, identified by
-/// the FNV fingerprint of its requests' checkpoint fingerprints.
-#[derive(Debug)]
-struct Shard {
-    index: usize,
-    /// Unfinished slots, in submission order.
-    remaining: Vec<usize>,
-    /// Shard content fingerprint (diagnostics / span labels).
-    fingerprint: u64,
-    /// Respawns consumed so far.
-    respawns: u32,
-    /// Total spawns (for the worker's attempt offset).
-    spawns: u32,
-    /// Earliest next launch (backoff).
+/// The part of a sweep the supervisor runs: its pending slots.
+pub(crate) struct SweepWork<'a> {
+    /// `(sweep-local slot, request)` of every slot still to run.
+    pub pending: &'a [(usize, RunRequest)],
+    /// Prep-group key of each pending slot
+    /// ([`crate::prep_cache::fingerprint`]).
+    pub keys: &'a [u64],
+    /// Sweep sequence number: the workers' replay target.
+    pub sweep_seq: usize,
+    /// Requests in the whole sweep, checked against each worker's hello.
+    pub requests: usize,
+    /// Process-global task id of the sweep's slot 0.
+    pub base_id: usize,
+    /// Checkpoint that merged results are appended to.
+    pub ckpt: Option<&'a CheckpointHandle>,
+}
+
+/// One of the `jobs` worker slots.
+struct WorkerSlot {
+    /// The slot's current process, if one is up.
+    live: Option<Live>,
+    /// The prep group this slot owns in the claim queue.
+    own: Option<usize>,
+    /// Deaths with nothing in flight charged to this slot.
+    deaths: u32,
+    /// Earliest next spawn (backoff).
     ready_at: Instant,
-    /// Last death description (for quarantine messages).
-    last_death: String,
+    /// Over budget: never spawns again.
+    retired: bool,
 }
 
 /// A live worker process.
-struct Active {
-    shard_idx: usize,
-    worker_slot: usize,
+struct Live {
+    /// Distinguishes this process's events from an earlier one's.
+    uid: u64,
     child: Child,
+    /// `None` once closed: the worker then finishes and exits.
     stdin: Option<ChildStdin>,
     reader: Option<std::thread::JoinHandle<()>>,
     spawned_at: Instant,
-    last_heard: Instant,
-    /// `(slot, started)` of the in-flight task.
-    inflight: Option<(usize, Instant)>,
     hello_seen: bool,
-    drain_sent: bool,
-    eof_seen: bool,
-    /// Slot deliberately killed by the scoped watchdog.
-    watchdog_victim: Option<usize>,
+    /// `(pending index, sent at)` of the task in flight.
+    inflight: Option<(usize, Instant)>,
+    /// Killed by the scoped watchdog for its in-flight task.
+    watchdog_victim: bool,
     /// Protocol-corruption description, if any.
     poisoned: Option<String>,
 }
@@ -548,9 +477,451 @@ enum Event {
     Eof,
 }
 
-/// Outcomes of one sharded execution: resolved `(slot, result)` pairs in
-/// submission order. Under a drain, unexecuted slots are simply absent.
-type ShardedOutcomes = Vec<(usize, Result<RunMetrics, TaskFailure>)>;
+/// Resolved `(slot, result)` pairs in submission order. Under a drain,
+/// unexecuted slots are simply absent.
+type Outcomes = Vec<(usize, Result<RunMetrics, TaskFailure>)>;
+
+/// The supervisor's state over one sweep.
+struct Fleet<'a> {
+    work: &'a SweepWork<'a>,
+    queue: GroupQueue,
+    /// Tasks the queue has not handed out yet.
+    unclaimed: usize,
+    /// Tasks whose worker died, each claimable again from its instant.
+    retry: Vec<(usize, Instant)>,
+    /// Worker deaths charged to each pending task.
+    task_deaths: Vec<u32>,
+    results: Vec<Option<Result<RunMetrics, TaskFailure>>>,
+    assigned: Vec<usize>,
+    busy_ms: Vec<f64>,
+    slots: Vec<WorkerSlot>,
+    /// The last death that retired a worker slot.
+    last_retirement: String,
+    draining: bool,
+}
+
+impl<'a> Fleet<'a> {
+    fn new(work: &'a SweepWork<'a>, jobs: usize) -> Self {
+        let n = work.pending.len();
+        Self {
+            work,
+            queue: GroupQueue::new(work.keys.iter().copied()),
+            unclaimed: n,
+            retry: Vec::new(),
+            task_deaths: vec![0; n],
+            results: (0..n).map(|_| None).collect(),
+            assigned: vec![0; n],
+            busy_ms: vec![0.0; jobs],
+            slots: (0..jobs)
+                .map(|_| WorkerSlot {
+                    live: None,
+                    own: None,
+                    deaths: 0,
+                    ready_at: Instant::now(),
+                    retired: false,
+                })
+                .collect(),
+            last_retirement: String::new(),
+            draining: false,
+        }
+    }
+
+    /// Whether any task still waits for a worker.
+    fn work_left(&self) -> bool {
+        self.unclaimed > 0 || !self.retry.is_empty()
+    }
+
+    fn task_id(&self, p: usize) -> usize {
+        self.work.base_id + self.work.pending[p].0
+    }
+
+    fn label(&self, p: usize) -> &str {
+        &self.work.pending[p].1.label
+    }
+
+    /// Worker `w`'s next task: a re-queued task whose backoff has lapsed,
+    /// else the pool's claim for the group `w` owns.
+    fn next_task(&mut self, w: usize) -> Option<usize> {
+        let now = Instant::now();
+        if let Some(i) = self.retry.iter().position(|&(_, ready)| ready <= now) {
+            return Some(self.retry.remove(i).0);
+        }
+        let p = self.queue.claim(&mut self.slots[w].own)?;
+        self.unclaimed -= 1;
+        Some(p)
+    }
+
+    /// Start a worker process in slot `w`; a failed spawn is a death
+    /// charged to the slot.
+    fn spawn(
+        &mut self,
+        w: usize,
+        exe: &std::path::Path,
+        tx: &mpsc::Sender<(usize, u64, Event)>,
+        uid: u64,
+    ) {
+        let mut cmd = Command::new(exe);
+        cmd.args(std::env::args().skip(1))
+            .arg("--worker-shard")
+            .env(ENV_SWEEP, self.work.sweep_seq.to_string())
+            .env(ENV_BASE, self.work.base_id.to_string())
+            .env(ENV_SLOT, w.to_string())
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit());
+        let mut child = match cmd.spawn() {
+            Ok(child) => child,
+            Err(e) => return self.charge_slot(w, format!("spawn failed: {e}")),
+        };
+        with_stats(|s| s.workers_spawned += 1);
+        let stdout = child.stdout.take().expect("stdout was piped");
+        let tx = tx.clone();
+        let reader = std::thread::spawn(move || {
+            span::set_virtual_tid(64 + w as u32, &format!("process worker {w}"));
+            let _span = Span::enter_with(
+                format!("worker {w}"),
+                "supervisor.worker",
+                vec![("uid", Json::u64(uid))],
+            );
+            for line in std::io::BufReader::new(stdout).lines() {
+                let Ok(line) = line else { break };
+                let parsed = wire::parse_line(&line);
+                if !matches!(parsed, Parsed::Noise)
+                    && tx.send((w, uid, Event::Line(parsed))).is_err()
+                {
+                    break;
+                }
+            }
+            let _ = tx.send((w, uid, Event::Eof));
+        });
+        self.slots[w].live = Some(Live {
+            uid,
+            stdin: child.stdin.take(),
+            child,
+            reader: Some(reader),
+            spawned_at: Instant::now(),
+            hello_seen: false,
+            inflight: None,
+            watchdog_victim: false,
+            poisoned: None,
+        });
+    }
+
+    /// Kill worker `w` for protocol corruption; its death is charged when
+    /// its stream closes.
+    fn poison(&mut self, w: usize, reason: String) {
+        if let Some(live) = self.slots[w].live.as_mut() {
+            live.poisoned.get_or_insert(reason);
+            let _ = live.child.kill();
+        }
+    }
+
+    /// The pending index of `slot` if it is worker `w`'s task in flight.
+    fn inflight_slot(&self, w: usize, slot: usize) -> Option<usize> {
+        let (p, _) = self.slots[w].live.as_ref()?.inflight?;
+        (self.work.pending[p].0 == slot).then_some(p)
+    }
+
+    /// Record worker `w`'s result for its in-flight task `p`.
+    fn resolve(&mut self, w: usize, p: usize, result: Result<RunMetrics, TaskFailure>) {
+        if let Some((_, sent)) = self.slots[w].live.as_mut().and_then(|l| l.inflight.take()) {
+            self.busy_ms[w] += sent.elapsed().as_secs_f64() * 1e3;
+        }
+        self.assigned[p] = w;
+        self.results[p] = Some(result);
+    }
+
+    /// Handle one event of worker `w`'s process `uid`.
+    fn handle(&mut self, w: usize, uid: u64, event: Event) {
+        if self.slots[w].live.as_ref().is_none_or(|live| live.uid != uid) {
+            return;
+        }
+        let msg = match event {
+            Event::Eof => return self.finalize(w),
+            Event::Line(Parsed::Noise) => return,
+            Event::Line(Parsed::Malformed(line)) => {
+                with_stats(|s| s.protocol_errors += 1);
+                return self.poison(w, format!("malformed protocol line: {line}"));
+            }
+            Event::Line(Parsed::Msg(msg)) => msg,
+        };
+        match msg {
+            WorkerMsg::Hello { sweep_seq, requests } => {
+                if sweep_seq == self.work.sweep_seq && requests == self.work.requests {
+                    if let Some(live) = self.slots[w].live.as_mut() {
+                        live.hello_seen = true;
+                    }
+                } else {
+                    self.poison(
+                        w,
+                        format!(
+                            "hello for sweep {sweep_seq} of {requests} request(s), expected \
+                             sweep {} of {}",
+                            self.work.sweep_seq, self.work.requests
+                        ),
+                    );
+                }
+            }
+            WorkerMsg::PrepCache { hits, misses, fragment_builds, shared_traces } => {
+                crate::prep_cache::add_counts(hits, misses, fragment_builds, shared_traces)
+            }
+            WorkerMsg::Done { slot, fingerprint, metrics } => {
+                let Some(p) = self.inflight_slot(w, slot) else {
+                    return self.poison(w, format!("done for slot {slot}, which is not in flight"));
+                };
+                let expected = self.work.pending[p].1.fingerprint();
+                if fingerprint != expected {
+                    with_stats(|s| s.fingerprint_mismatches += 1);
+                    return self.poison(
+                        w,
+                        format!(
+                            "slot {slot} fingerprint mismatch: worker {fingerprint:016x}, \
+                             supervisor {expected:016x}"
+                        ),
+                    );
+                }
+                let Some(decoded) = checkpoint::decode_metrics(&metrics) else {
+                    with_stats(|s| s.protocol_errors += 1);
+                    return self.poison(w, format!("slot {slot} metrics payload undecodable"));
+                };
+                if let Some(ckpt) = self.work.ckpt {
+                    ckpt.append(
+                        &checkpoint::task_key(self.work.sweep_seq, slot),
+                        fingerprint,
+                        &decoded,
+                    );
+                }
+                // Fold the worker's simulated work into this process's
+                // totals, exactly as an in-process run would have: the
+                // bench MIPS accounting must not see process isolation.
+                crate::metrics::record_simulation(
+                    decoded.core.instructions,
+                    decoded.phases.measure_ms / 1e3,
+                );
+                with_stats(|s| s.results_merged += 1);
+                self.resolve(w, p, Ok(decoded));
+            }
+            WorkerMsg::Fail { slot, attempts, elapsed_ms, message } => {
+                let Some(p) = self.inflight_slot(w, slot) else {
+                    return self.poison(w, format!("fail for slot {slot}, which is not in flight"));
+                };
+                let failure = TaskFailure {
+                    task: self.task_id(p),
+                    label: self.label(p).to_owned(),
+                    worker: w,
+                    panic_msg: message,
+                    elapsed_ms,
+                    attempts,
+                };
+                self.resolve(w, p, Err(failure));
+            }
+        }
+    }
+
+    /// Hand every idle worker its next task, or close its stdin when no
+    /// task is left for anyone.
+    fn dispatch(&mut self) {
+        for w in 0..self.slots.len() {
+            let Some(live) = self.slots[w].live.as_ref() else { continue };
+            if live.inflight.is_some() || live.stdin.is_none() {
+                continue;
+            }
+            if !self.work_left() {
+                self.slots[w].live.as_mut().expect("checked above").stdin = None;
+                continue;
+            }
+            if !live.hello_seen {
+                continue;
+            }
+            let Some(p) = self.next_task(w) else { continue };
+            let run = wire::Run { slot: self.work.pending[p].0, prior_deaths: self.task_deaths[p] };
+            let live = self.slots[w].live.as_mut().expect("checked above");
+            let stdin = live.stdin.as_mut().expect("checked above");
+            if writeln!(stdin, "{}", run.encode()).and_then(|()| stdin.flush()).is_ok() {
+                live.inflight = Some((p, Instant::now()));
+            } else {
+                // The worker is already gone; its death is the slot's.
+                live.stdin = None;
+                self.retry.push((p, Instant::now()));
+            }
+        }
+    }
+
+    /// Worker `w`'s stream closed: wait for the process, and decide
+    /// between a clean exit, a watchdog victim, and a death charged to
+    /// the task in flight or to the worker slot.
+    fn finalize(&mut self, w: usize) {
+        let Some(mut live) = self.slots[w].live.take() else { return };
+        let status = live.child.wait().ok();
+        if let Some(reader) = live.reader.take() {
+            let _ = reader.join();
+        }
+        let cause = || live.poisoned.clone().unwrap_or_else(|| describe_exit(status));
+        let Some((p, sent)) = live.inflight else {
+            // A watchdog victim whose result beat the kill is no death.
+            let clean = live.watchdog_victim
+                || (live.stdin.is_none()
+                    && live.poisoned.is_none()
+                    && status.is_some_and(|s| s.success()));
+            if !clean && !self.draining {
+                self.charge_slot(w, cause());
+            }
+            return;
+        };
+        if live.watchdog_victim {
+            // A deliberate kill fails only the in-flight task; the slot
+            // respawns without charging any budget.
+            let timeout = resilience::task_timeout_ms().unwrap_or(0);
+            self.assigned[p] = w;
+            self.results[p] = Some(Err(TaskFailure {
+                task: self.task_id(p),
+                label: self.label(p).to_owned(),
+                worker: w,
+                panic_msg: format!(
+                    "watchdog killed the worker: task exceeded --task-timeout ({timeout} ms) \
+                     with SIPT_WATCHDOG_KILL=1"
+                ),
+                elapsed_ms: sent.elapsed().as_secs_f64() * 1e3,
+                attempts: 1,
+            }));
+        } else if !self.draining {
+            // Under a drain the slot stays unexecuted, for --resume.
+            self.charge_task(p, w, cause());
+        }
+    }
+
+    /// A worker died running task `p`: re-queue the task after its
+    /// backoff, or quarantine it once it is over budget. The worker slot
+    /// respawns either way.
+    fn charge_task(&mut self, p: usize, w: usize, cause: String) {
+        with_stats(|s| s.worker_deaths += 1);
+        let id = self.task_id(p);
+        span::instant_with(
+            format!("worker {w} died"),
+            "supervisor",
+            vec![("status", Json::str(&cause)), ("task", Json::u64(id as u64))],
+        );
+        self.task_deaths[p] += 1;
+        let deaths = self.task_deaths[p];
+        if deaths > respawn_budget() {
+            eprintln!(
+                "supervisor: quarantining task {id} ({}): respawn budget ({}) exhausted \
+                 (last death: {cause})",
+                self.label(p),
+                respawn_budget()
+            );
+            let message =
+                format!("quarantined task: its worker died {deaths} time(s), last: {cause}");
+            return self.quarantine(p, w, message);
+        }
+        let backoff = backoff_ms(respawn_backoff_ms(), deaths);
+        with_stats(|s| s.respawns += 1);
+        eprintln!(
+            "supervisor: worker {w} died ({cause}) running task {id} ({}); respawn {deaths}/{} \
+             retries the task in {backoff} ms",
+            self.label(p),
+            respawn_budget()
+        );
+        span::instant_with(
+            format!("respawn task {id}"),
+            "supervisor",
+            vec![("respawn", Json::u64(u64::from(deaths))), ("backoff_ms", Json::u64(backoff))],
+        );
+        self.retry.push((p, Instant::now() + Duration::from_millis(backoff)));
+    }
+
+    /// A worker died with nothing in flight: respawn slot `w` after its
+    /// backoff, or retire it once it is over budget.
+    fn charge_slot(&mut self, w: usize, cause: String) {
+        with_stats(|s| s.worker_deaths += 1);
+        span::instant_with(
+            format!("worker {w} died"),
+            "supervisor",
+            vec![("status", Json::str(&cause))],
+        );
+        let slot = &mut self.slots[w];
+        slot.deaths += 1;
+        if slot.deaths > respawn_budget() {
+            slot.retired = true;
+            eprintln!(
+                "supervisor: retiring worker slot {w}: respawn budget ({}) exhausted \
+                 (last death: {cause})",
+                respawn_budget()
+            );
+            self.last_retirement = cause;
+            return;
+        }
+        let backoff = backoff_ms(respawn_backoff_ms(), slot.deaths);
+        slot.ready_at = Instant::now() + Duration::from_millis(backoff);
+        with_stats(|s| s.respawns += 1);
+        eprintln!(
+            "supervisor: worker {w} died ({cause}) with no task in flight; respawn {}/{} in \
+             {backoff} ms",
+            slot.deaths,
+            respawn_budget()
+        );
+    }
+
+    /// Fail task `p` permanently.
+    fn quarantine(&mut self, p: usize, w: usize, message: String) {
+        with_stats(|s| s.quarantined_tasks += 1);
+        let id = self.task_id(p);
+        span::instant_with(format!("quarantine task {id}"), "supervisor", Vec::new());
+        self.assigned[p] = w;
+        self.results[p] = Some(Err(TaskFailure {
+            task: id,
+            label: self.label(p).to_owned(),
+            worker: w,
+            panic_msg: message,
+            elapsed_ms: 0.0,
+            attempts: self.task_deaths[p].max(1),
+        }));
+    }
+
+    /// Every worker slot has retired: quarantine every unfinished task.
+    fn quarantine_unresolved(&mut self) {
+        let message = format!(
+            "quarantined task: every worker slot exhausted its respawn budget (last death: {})",
+            self.last_retirement
+        );
+        for p in 0..self.results.len() {
+            if self.results[p].is_none() {
+                self.quarantine(p, 0, message.clone());
+            }
+        }
+    }
+
+    /// Scoped watchdog: flag overrunning tasks; with `SIPT_WATCHDOG_KILL=1`
+    /// kill only the offending worker (never the whole run).
+    fn watchdog(&mut self, flagged: &mut std::collections::HashSet<usize>) {
+        let Some(timeout_ms) = resilience::task_timeout_ms() else { return };
+        let base_id = self.work.base_id;
+        for (w, slot) in self.slots.iter_mut().enumerate() {
+            let Some(live) = slot.live.as_mut() else { continue };
+            let Some((p, sent)) = live.inflight else { continue };
+            let task = base_id + self.work.pending[p].0;
+            let elapsed_ms = sent.elapsed().as_secs_f64() * 1e3;
+            if elapsed_ms <= timeout_ms as f64 || !flagged.insert(task) {
+                continue;
+            }
+            resilience::record_watchdog_flag(WatchdogFlag { task, elapsed_ms, timeout_ms });
+            if resilience::watchdog_kill() {
+                eprintln!(
+                    "watchdog: SIPT_WATCHDOG_KILL=1 — killing worker {w} \
+                     (task {task} only; the sweep continues)"
+                );
+                live.watchdog_victim = true;
+                with_stats(|s| s.watchdog_kills += 1);
+                span::instant_with(
+                    format!("watchdog kill worker {w}"),
+                    "supervisor",
+                    vec![("task", Json::u64(task as u64))],
+                );
+                let _ = live.child.kill();
+            }
+        }
+    }
+}
 
 /// Execute the pending slots of a sweep under process isolation.
 ///
@@ -559,406 +930,115 @@ type ShardedOutcomes = Vec<(usize, Result<RunMetrics, TaskFailure>)>;
 /// [`SimError::Supervisor`] when the supervisor cannot start at all
 /// (e.g. the current executable path is unresolvable); the caller then
 /// falls back to thread isolation with a warning.
-pub(crate) fn run_sharded(
-    pending: &[(usize, RunRequest)],
-    sweep_seq: usize,
-    base_id: usize,
+pub(crate) fn supervise(
+    work: &SweepWork<'_>,
     jobs: usize,
-    ckpt: Option<&CheckpointHandle>,
-) -> Result<(ShardedOutcomes, ParallelismProfile), SimError> {
+) -> Result<(Outcomes, ParallelismProfile), SimError> {
     let exe = std::env::current_exe()
         .map_err(|e| SimError::supervisor(format!("cannot resolve current executable: {e}")))?;
-    let jobs = jobs.max(1).min(pending.len().max(1));
-    let shard_size = shard_size_for(pending.len(), jobs);
-    let by_slot: HashMap<usize, (u64, &str)> = pending
-        .iter()
-        .map(|(slot, req)| (*slot, (req.fingerprint(), req.label.as_str())))
-        .collect();
-    let mut shards: Vec<Shard> = pending
-        .chunks(shard_size)
-        .enumerate()
-        .map(|(index, chunk)| {
-            let mut fp_bytes = Vec::with_capacity(chunk.len() * 8);
-            for (_, req) in chunk {
-                fp_bytes.extend_from_slice(&req.fingerprint().to_le_bytes());
-            }
-            Shard {
-                index,
-                remaining: chunk.iter().map(|(slot, _)| *slot).collect(),
-                fingerprint: checkpoint::fnv1a64(&fp_bytes),
-                respawns: 0,
-                spawns: 0,
-                ready_at: Instant::now(),
-                last_death: String::new(),
-            }
-        })
-        .collect();
-    with_stats(|s| {
-        s.sweeps += 1;
-        s.shards += shards.len() as u64;
-    });
+    let jobs = jobs.max(1).min(work.pending.len().max(1));
+    let mut fleet = Fleet::new(work, jobs);
+    with_stats(|s| s.sweeps += 1);
     let mut sup_span = Span::enter_with(
-        format!("supervise sweep {sweep_seq}"),
+        format!("supervise sweep {}", work.sweep_seq),
         "supervisor",
-        vec![
-            ("jobs", Json::u64(jobs as u64)),
-            ("shards", Json::u64(shards.len() as u64)),
-            ("tasks", Json::u64(pending.len() as u64)),
-        ],
+        vec![("jobs", Json::u64(jobs as u64)), ("tasks", Json::u64(work.pending.len() as u64))],
     );
 
     let wall = Instant::now();
-    let (tx, rx) = mpsc::channel::<(u64, Event)>();
-    let mut queue: VecDeque<usize> = (0..shards.len()).collect();
-    let mut active: HashMap<u64, Active> = HashMap::new();
-    let mut free_slots: Vec<usize> = (0..jobs).rev().collect();
-    let mut results: HashMap<usize, Result<RunMetrics, TaskFailure>> = HashMap::new();
-    let mut busy_ms = vec![0.0f64; jobs];
-    let mut assigned: HashMap<usize, usize> = HashMap::new();
-    let mut flagged: std::collections::HashSet<usize> = std::collections::HashSet::new();
+    let spawn_timeout = Duration::from_millis(spawn_timeout_ms());
+    let (tx, rx) = mpsc::channel::<(usize, u64, Event)>();
     let mut next_uid: u64 = 0;
-    let mut drain_seen = false;
+    let mut flagged = std::collections::HashSet::new();
     let mut drain_deadline: Option<Instant> = None;
 
     loop {
-        let draining = sipt_signal::drain_requested();
-        if draining && !drain_seen {
-            drain_seen = true;
+        if sipt_signal::drain_requested() && !fleet.draining {
+            fleet.draining = true;
             drain_deadline = Some(Instant::now() + Duration::from_secs(10));
-            eprintln!(
-                "drain: signal received — asking {} worker(s) to finish in-flight tasks",
-                active.len()
-            );
-            for worker in active.values_mut() {
-                if let Some(stdin) = worker.stdin.as_mut() {
-                    let _ = writeln!(stdin, "{}", wire::DRAIN_COMMAND);
-                    let _ = stdin.flush();
-                }
-                worker.drain_sent = true;
+            let live = fleet.slots.iter().filter(|s| s.live.is_some()).count();
+            eprintln!("drain: signal received — asking {live} worker(s) to finish in-flight tasks");
+            for live in fleet.slots.iter_mut().filter_map(|s| s.live.as_mut()) {
+                live.stdin = None;
             }
         }
 
-        // Launch ready shards onto free worker slots.
-        while !draining && !free_slots.is_empty() {
-            let now = Instant::now();
-            let Some(pos) = queue.iter().position(|&i| shards[i].ready_at <= now) else {
-                break;
-            };
-            let shard_idx = queue.remove(pos).expect("position came from the queue");
-            let worker_slot = free_slots.pop().expect("checked non-empty");
-            let shard = &mut shards[shard_idx];
-            let slots_csv =
-                shard.remaining.iter().map(ToString::to_string).collect::<Vec<_>>().join(",");
-            let mut cmd = Command::new(&exe);
-            cmd.args(std::env::args().skip(1))
-                .arg("--worker-shard")
-                .env(ENV_SWEEP, sweep_seq.to_string())
-                .env(ENV_SLOTS, &slots_csv)
-                .env(ENV_BASE, base_id.to_string())
-                .env(ENV_ATTEMPT, shard.spawns.to_string())
-                .env(ENV_SLOT, worker_slot.to_string())
-                .stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::inherit());
-            match cmd.spawn() {
-                Ok(mut child) => {
-                    shard.spawns += 1;
-                    with_stats(|s| s.workers_spawned += 1);
-                    let uid = next_uid;
+        // (Re)spawn idle worker slots while tasks wait for a worker.
+        if !fleet.draining && fleet.work_left() {
+            for w in 0..jobs {
+                let slot = &fleet.slots[w];
+                if slot.live.is_none() && !slot.retired && slot.ready_at <= Instant::now() {
+                    fleet.spawn(w, &exe, &tx, next_uid);
                     next_uid += 1;
-                    let stdout = child.stdout.take().expect("stdout was piped");
-                    let stdin = child.stdin.take();
-                    let tx = tx.clone();
-                    let shard_fp = shard.fingerprint;
-                    let spawn_no = shard.spawns;
-                    let reader = std::thread::spawn(move || {
-                        span::set_virtual_tid(
-                            64 + worker_slot as u32,
-                            &format!("shard worker {worker_slot}"),
-                        );
-                        let _span = Span::enter_with(
-                            format!("worker {worker_slot} shard {shard_idx}"),
-                            "supervisor.worker",
-                            vec![
-                                ("shard_fp", Json::str(format!("{shard_fp:016x}"))),
-                                ("spawn", Json::u64(u64::from(spawn_no))),
-                            ],
-                        );
-                        for line in std::io::BufReader::new(stdout).lines() {
-                            let Ok(line) = line else { break };
-                            let parsed = wire::parse_line(&line);
-                            if !matches!(parsed, Parsed::Noise)
-                                && tx.send((uid, Event::Line(parsed))).is_err()
-                            {
-                                break;
-                            }
-                        }
-                        let _ = tx.send((uid, Event::Eof));
-                    });
-                    active.insert(
-                        uid,
-                        Active {
-                            shard_idx,
-                            worker_slot,
-                            child,
-                            stdin,
-                            reader: Some(reader),
-                            spawned_at: Instant::now(),
-                            last_heard: Instant::now(),
-                            inflight: None,
-                            hello_seen: false,
-                            drain_sent: false,
-                            eof_seen: false,
-                            watchdog_victim: None,
-                            poisoned: None,
-                        },
-                    );
-                }
-                Err(e) => {
-                    free_slots.push(worker_slot);
-                    shard.last_death = format!("spawn failed: {e}");
-                    with_stats(|s| s.worker_deaths += 1);
-                    respawn_or_quarantine(shard, base_id, &by_slot, &mut results, &mut queue);
                 }
             }
         }
 
         // Pump worker events (block briefly so the loop is responsive
         // without spinning).
-        let mut reaped: Vec<u64> = Vec::new();
-        match rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(first) => {
-                let mut pump = Some(first);
-                while let Some((uid, event)) = pump.take() {
-                    handle_event(
-                        uid,
-                        event,
-                        &mut active,
-                        &mut shards,
-                        &mut results,
-                        &mut busy_ms,
-                        &mut assigned,
-                        &by_slot,
-                        base_id,
-                        sweep_seq,
-                        ckpt,
-                        &mut reaped,
-                    );
-                    pump = rx.try_recv().ok();
-                }
+        if let Ok(first) = rx.recv_timeout(Duration::from_millis(5)) {
+            let mut pump = Some(first);
+            while let Some((w, uid, event)) = pump.take() {
+                fleet.handle(w, uid, event);
+                pump = rx.try_recv().ok();
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {}
         }
+        if !fleet.draining {
+            fleet.dispatch();
+        }
+        fleet.watchdog(&mut flagged);
 
-        // Reap workers whose streams closed.
-        for uid in reaped {
-            if let Some(worker) = active.remove(&uid) {
-                finalize_worker(
-                    worker,
-                    &mut shards,
-                    &mut results,
-                    &mut queue,
-                    &mut free_slots,
-                    &by_slot,
-                    base_id,
-                    drain_seen,
+        // Spawn liveness: a worker that never says hello is wedged.
+        for w in 0..jobs {
+            let wedged = fleet.slots[w].live.as_ref().is_some_and(|live| {
+                !live.hello_seen
+                    && live.poisoned.is_none()
+                    && live.spawned_at.elapsed() > spawn_timeout
+            });
+            if wedged {
+                fleet.poison(
+                    w,
+                    format!("no hello within {} ms of spawn", spawn_timeout.as_millis()),
                 );
             }
         }
 
-        // Scoped watchdog: flag overrunning tasks; with SIPT_WATCHDOG_KILL=1
-        // kill only the offending worker (never the whole run).
-        if let Some(timeout_ms) = resilience::task_timeout_ms() {
-            for worker in active.values_mut() {
-                let Some((slot, started)) = worker.inflight else { continue };
-                let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-                if elapsed_ms > timeout_ms as f64 && flagged.insert(base_id + slot) {
-                    resilience::record_watchdog_flag(WatchdogFlag {
-                        task: base_id + slot,
-                        elapsed_ms,
-                        timeout_ms,
-                    });
-                    if resilience::watchdog_kill() {
-                        eprintln!(
-                            "watchdog: SIPT_WATCHDOG_KILL=1 — killing worker {} \
-                             (task {} only; the sweep continues)",
-                            worker.worker_slot,
-                            base_id + slot
-                        );
-                        worker.watchdog_victim = Some(slot);
-                        with_stats(|s| s.watchdog_kills += 1);
-                        span::instant_with(
-                            format!("watchdog kill worker {}", worker.worker_slot),
-                            "supervisor",
-                            vec![("task", Json::u64((base_id + slot) as u64))],
-                        );
-                        let _ = worker.child.kill();
-                    }
-                }
+        // Drain stragglers: a worker still running when the grace period
+        // lapses is killed (its finished results are already merged and
+        // checkpointed).
+        if drain_deadline.is_some_and(|deadline| Instant::now() > deadline) {
+            for live in fleet.slots.iter_mut().filter_map(|s| s.live.as_mut()) {
+                let _ = live.child.kill();
             }
         }
 
-        // Spawn liveness: a worker that never says hello is wedged.
-        let spawn_timeout = Duration::from_millis(spawn_timeout_ms());
-        for worker in active.values_mut() {
-            if !worker.hello_seen
-                && worker.poisoned.is_none()
-                && worker.spawned_at.elapsed() > spawn_timeout
-            {
-                worker.poisoned =
-                    Some(format!("no hello within {} ms of spawn", spawn_timeout.as_millis()));
-                let _ = worker.child.kill();
-            }
+        if fleet.slots.iter().all(|s| s.retired) {
+            fleet.quarantine_unresolved();
+            break;
         }
-
-        // Drain stragglers: a worker that ignores the drain command gets
-        // killed once the grace period lapses (its finished results are
-        // already merged and checkpointed).
-        if let Some(deadline) = drain_deadline {
-            if Instant::now() > deadline {
-                for worker in active.values_mut() {
-                    let _ = worker.child.kill();
-                }
-            }
-        }
-
-        if active.is_empty() && (queue.is_empty() || draining) {
+        let resolved = fleet.results.iter().all(Option::is_some);
+        if fleet.slots.iter().all(|s| s.live.is_none()) && (resolved || fleet.draining) {
             break;
         }
     }
 
-    with_stats(|s| s.drained |= drain_seen);
+    with_stats(|s| s.drained |= fleet.draining);
     let profile = ParallelismProfile {
         jobs,
-        tasks: pending.len(),
+        tasks: work.pending.len(),
         wall_ms: wall.elapsed().as_secs_f64() * 1e3,
-        worker_busy_ms: busy_ms,
-        assigned_worker: pending
-            .iter()
-            .map(|(slot, _)| assigned.get(slot).copied().unwrap_or(0))
-            .collect(),
+        worker_busy_ms: fleet.busy_ms,
+        assigned_worker: fleet.assigned,
     };
     record_profile(&profile);
-    sup_span.arg("merged", Json::u64(results.len() as u64));
-    let outcomes: ShardedOutcomes =
-        pending.iter().filter_map(|(slot, _)| results.remove(slot).map(|r| (*slot, r))).collect();
+    let outcomes: Outcomes = work
+        .pending
+        .iter()
+        .zip(fleet.results)
+        .filter_map(|((slot, _), result)| Some((*slot, result?)))
+        .collect();
+    sup_span.arg("merged", Json::u64(outcomes.len() as u64));
     Ok((outcomes, profile))
-}
-
-/// Handle one worker event. Mutates shard/result/accounting state and
-/// pushes the worker's uid onto `reaped` when its stream closed.
-#[allow(clippy::too_many_arguments)]
-fn handle_event(
-    uid: u64,
-    event: Event,
-    active: &mut HashMap<u64, Active>,
-    shards: &mut [Shard],
-    results: &mut HashMap<usize, Result<RunMetrics, TaskFailure>>,
-    busy_ms: &mut [f64],
-    assigned: &mut HashMap<usize, usize>,
-    by_slot: &HashMap<usize, (u64, &str)>,
-    base_id: usize,
-    sweep_seq: usize,
-    ckpt: Option<&CheckpointHandle>,
-    reaped: &mut Vec<u64>,
-) {
-    let Some(worker) = active.get_mut(&uid) else { return };
-    worker.last_heard = Instant::now();
-    let msg = match event {
-        Event::Eof => {
-            worker.eof_seen = true;
-            reaped.push(uid);
-            return;
-        }
-        Event::Line(Parsed::Noise) => return,
-        Event::Line(Parsed::Malformed(line)) => {
-            with_stats(|s| s.protocol_errors += 1);
-            worker.poisoned = Some(format!("malformed protocol line: {line}"));
-            let _ = worker.child.kill();
-            return;
-        }
-        Event::Line(Parsed::Msg(msg)) => msg,
-    };
-    match msg {
-        WorkerMsg::Hello { .. } => worker.hello_seen = true,
-        WorkerMsg::Heartbeat => with_stats(|s| s.heartbeats += 1),
-        WorkerMsg::PrepCache { hits, misses, fragment_builds, shared_traces } => {
-            crate::prep_cache::add_counts(hits, misses, fragment_builds, shared_traces)
-        }
-        WorkerMsg::Start { slot } => worker.inflight = Some((slot, Instant::now())),
-        WorkerMsg::Done { slot, fingerprint, metrics } => {
-            let busy = worker
-                .inflight
-                .take()
-                .map_or(0.0, |(_, started)| started.elapsed().as_secs_f64() * 1e3);
-            busy_ms[worker.worker_slot] += busy;
-            let Some(&(expected_fp, _)) = by_slot.get(&slot) else {
-                worker.poisoned = Some(format!("done for unassigned slot {slot}"));
-                let _ = worker.child.kill();
-                return;
-            };
-            if fingerprint != expected_fp {
-                with_stats(|s| s.fingerprint_mismatches += 1);
-                worker.poisoned = Some(format!(
-                    "slot {slot} fingerprint mismatch: worker {fingerprint:016x}, \
-                     supervisor {expected_fp:016x}"
-                ));
-                let _ = worker.child.kill();
-                return;
-            }
-            let Some(decoded) = checkpoint::decode_metrics(&metrics) else {
-                with_stats(|s| s.protocol_errors += 1);
-                worker.poisoned = Some(format!("slot {slot} metrics payload undecodable"));
-                let _ = worker.child.kill();
-                return;
-            };
-            if let Some(ckpt) = ckpt {
-                ckpt.append(&checkpoint::task_key(sweep_seq, slot), fingerprint, &decoded);
-            }
-            // Fold the worker's simulated work into this process's
-            // totals, exactly as an in-process run would have: the
-            // bench MIPS accounting must not see process isolation.
-            crate::metrics::record_simulation(
-                decoded.core.instructions,
-                decoded.phases.measure_ms / 1e3,
-            );
-            assigned.insert(slot, worker.worker_slot);
-            shards[worker.shard_idx].remaining.retain(|&s| s != slot);
-            results.insert(slot, Ok(decoded));
-            with_stats(|s| s.results_merged += 1);
-        }
-        WorkerMsg::Fail { slot, attempts, elapsed_ms, message } => {
-            let busy = worker
-                .inflight
-                .take()
-                .map_or(0.0, |(_, started)| started.elapsed().as_secs_f64() * 1e3);
-            busy_ms[worker.worker_slot] += busy;
-            let label = by_slot
-                .get(&slot)
-                .map_or_else(|| format!("task-{}", base_id + slot), |&(_, l)| l.to_owned());
-            assigned.insert(slot, worker.worker_slot);
-            shards[worker.shard_idx].remaining.retain(|&s| s != slot);
-            results.insert(
-                slot,
-                Err(TaskFailure {
-                    task: base_id + slot,
-                    label,
-                    worker: worker.worker_slot,
-                    panic_msg: message,
-                    elapsed_ms,
-                    attempts,
-                }),
-            );
-        }
-        WorkerMsg::Drained { completed } => {
-            span::instant_with(
-                format!("worker {} drained", worker.worker_slot),
-                "supervisor",
-                vec![("completed", Json::u64(completed as u64))],
-            );
-        }
-    }
 }
 
 /// Describe a child's exit status for death/quarantine messages.
@@ -985,162 +1065,11 @@ fn describe_exit(status: Option<std::process::ExitStatus>) -> String {
     format!("{status}")
 }
 
-/// Respawn a shard (with backoff) or quarantine it when the budget is
-/// spent. Returns `true` when a respawn was scheduled.
-fn respawn_or_quarantine(
-    shard: &mut Shard,
-    base_id: usize,
-    by_slot: &HashMap<usize, (u64, &str)>,
-    results: &mut HashMap<usize, Result<RunMetrics, TaskFailure>>,
-    queue: &mut VecDeque<usize>,
-) -> bool {
-    if shard.respawns < respawn_budget() {
-        shard.respawns += 1;
-        let backoff = respawn_backoff_ms() << (shard.respawns - 1).min(16);
-        shard.ready_at = Instant::now() + Duration::from_millis(backoff);
-        with_stats(|s| s.respawns += 1);
-        eprintln!(
-            "supervisor: shard {} ({} task(s) left) worker died ({}); \
-             respawn {}/{} in {} ms",
-            shard.index,
-            shard.remaining.len(),
-            shard.last_death,
-            shard.respawns,
-            respawn_budget(),
-            backoff
-        );
-        span::instant_with(
-            format!("respawn shard {}", shard.index),
-            "supervisor",
-            vec![
-                ("respawn", Json::u64(u64::from(shard.respawns))),
-                ("backoff_ms", Json::u64(backoff)),
-            ],
-        );
-        queue.push_back(shard.index);
-        true
-    } else {
-        let remaining: Vec<usize> = shard.remaining.drain(..).collect();
-        with_stats(|s| {
-            s.quarantined_shards += 1;
-            s.quarantined_tasks += remaining.len() as u64;
-        });
-        eprintln!(
-            "supervisor: quarantining shard {} ({:016x}): respawn budget ({}) exhausted; \
-             {} task(s) failed permanently (last death: {})",
-            shard.index,
-            shard.fingerprint,
-            respawn_budget(),
-            remaining.len(),
-            shard.last_death
-        );
-        span::instant_with(
-            format!("quarantine shard {}", shard.index),
-            "supervisor",
-            vec![("tasks", Json::u64(remaining.len() as u64))],
-        );
-        for slot in remaining {
-            let label = by_slot
-                .get(&slot)
-                .map_or_else(|| format!("task-{}", base_id + slot), |&(_, l)| l.to_owned());
-            results.insert(
-                slot,
-                Err(TaskFailure {
-                    task: base_id + slot,
-                    label,
-                    worker: 0,
-                    panic_msg: format!(
-                        "quarantined shard {:016x}: worker died {} time(s), last: {}",
-                        shard.fingerprint, shard.spawns, shard.last_death
-                    ),
-                    elapsed_ms: 0.0,
-                    attempts: shard.spawns.max(1),
-                }),
-            );
-        }
-        false
-    }
-}
-
-/// A worker's stream closed: wait for the process, classify the exit,
-/// and decide between shard-complete, respawn, quarantine, and drain.
-#[allow(clippy::too_many_arguments)]
-fn finalize_worker(
-    mut worker: Active,
-    shards: &mut [Shard],
-    results: &mut HashMap<usize, Result<RunMetrics, TaskFailure>>,
-    queue: &mut VecDeque<usize>,
-    free_slots: &mut Vec<usize>,
-    by_slot: &HashMap<usize, (u64, &str)>,
-    base_id: usize,
-    draining: bool,
-) {
-    let status = worker.child.wait().ok();
-    if let Some(reader) = worker.reader.take() {
-        let _ = reader.join();
-    }
-    free_slots.push(worker.worker_slot);
-    let shard = &mut shards[worker.shard_idx];
-
-    // A deliberate watchdog kill fails only the in-flight task; the rest
-    // of the shard respawns without charging the respawn budget.
-    if let Some(slot) = worker.watchdog_victim {
-        let timeout = resilience::task_timeout_ms().unwrap_or(0);
-        let label = by_slot
-            .get(&slot)
-            .map_or_else(|| format!("task-{}", base_id + slot), |&(_, l)| l.to_owned());
-        shard.remaining.retain(|&s| s != slot);
-        results.insert(
-            slot,
-            Err(TaskFailure {
-                task: base_id + slot,
-                label,
-                worker: worker.worker_slot,
-                panic_msg: format!(
-                    "watchdog killed the worker: task exceeded --task-timeout ({timeout} ms) \
-                     with SIPT_WATCHDOG_KILL=1"
-                ),
-                elapsed_ms: worker
-                    .inflight
-                    .map_or(0.0, |(_, started)| started.elapsed().as_secs_f64() * 1e3),
-                attempts: 1,
-            }),
-        );
-        if !shard.remaining.is_empty() && !draining {
-            shard.ready_at = Instant::now();
-            queue.push_back(shard.index);
-        }
-        return;
-    }
-
-    // Protocol corruption poisons the shard outright: a worker that
-    // cannot speak the protocol cannot be trusted to re-run either.
-    if let Some(reason) = worker.poisoned {
-        shard.last_death = reason;
-        shard.respawns = respawn_budget(); // force the quarantine branch
-        respawn_or_quarantine(shard, base_id, by_slot, results, queue);
-        return;
-    }
-
-    if shard.remaining.is_empty() {
-        return; // shard complete
-    }
-    if draining {
-        return; // unexecuted slots stay for --resume
-    }
-    shard.last_death = describe_exit(status);
-    with_stats(|s| s.worker_deaths += 1);
-    span::instant_with(
-        format!("worker {} died", worker.worker_slot),
-        "supervisor",
-        vec![("status", Json::str(&shard.last_death))],
-    );
-    respawn_or_quarantine(shard, base_id, by_slot, results, queue);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::SystemKind;
+    use crate::runner::Condition;
 
     #[test]
     fn isolation_parses_and_names() {
@@ -1162,15 +1091,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_sizes_cover_all_slots() {
-        // Default: one shard per worker.
-        assert_eq!(shard_size_for(12, 4), 3);
-        assert_eq!(shard_size_for(13, 4), 4);
-        assert_eq!(shard_size_for(1, 8), 1);
-        assert_eq!(shard_size_for(0, 4), 1);
-    }
-
-    #[test]
     fn exit_descriptions_are_informative() {
         assert_eq!(describe_exit(None), "exit status unavailable");
     }
@@ -1180,61 +1100,99 @@ mod tests {
         // Other tests in this binary may have primed it; only assert the
         // shape when present.
         if let Some(json) = supervisor_json() {
-            for key in ["isolation", "shards", "workers_spawned", "respawns", "drained"] {
+            for key in ["isolation", "workers_spawned", "respawns", "quarantined_tasks", "drained"]
+            {
                 assert!(json.get(key).is_some(), "missing {key}");
             }
         }
     }
 
+    /// Pending slots 3, 4 and 5 of a sweep at base id 100: two runs of
+    /// one prep group (sjeng) and one of another (mcf).
+    fn pending() -> Vec<(usize, RunRequest)> {
+        let request = |name: &str| RunRequest {
+            spec: sipt_workloads::benchmark(name).expect("preset"),
+            l1: sipt_core::baseline_32k_8w_vipt(),
+            system: SystemKind::OooThreeLevel,
+            cond: Condition::quick(),
+            label: name.to_owned(),
+        };
+        vec![(3, request("sjeng")), (4, request("sjeng")), (5, request("mcf"))]
+    }
+
+    fn work<'a>(pending: &'a [(usize, RunRequest)], keys: &'a [u64]) -> SweepWork<'a> {
+        SweepWork { pending, keys, sweep_seq: 0, requests: 6, base_id: 100, ckpt: None }
+    }
+
     #[test]
     fn quarantine_records_every_remaining_slot() {
-        let mut shard = Shard {
-            index: 7,
-            remaining: vec![3, 4],
-            fingerprint: 0xabcd,
-            respawns: respawn_budget(), // budget already spent
-            spawns: 3,
-            ready_at: Instant::now(),
-            last_death: "killed by signal 6 (SIGABRT)".into(),
-        };
-        let by_slot: HashMap<usize, (u64, &str)> =
-            [(3, (1u64, "sjeng")), (4, (2u64, "mcf"))].into_iter().collect();
-        let mut results = HashMap::new();
-        let mut queue = VecDeque::new();
-        let respawned = respawn_or_quarantine(&mut shard, 100, &by_slot, &mut results, &mut queue);
-        assert!(!respawned);
-        assert!(queue.is_empty());
-        let f3 = results.get(&3).unwrap().as_ref().unwrap_err();
-        assert_eq!(f3.task, 103);
-        assert_eq!(f3.label, "sjeng");
-        assert!(f3.panic_msg.contains("quarantined shard"));
-        assert!(f3.panic_msg.contains("SIGABRT"));
-        let f4 = results.get(&4).unwrap().as_ref().unwrap_err();
-        assert_eq!(f4.task, 104);
-        assert_eq!(f4.label, "mcf");
+        let pending = pending();
+        let work = work(&pending, &[1, 1, 2]);
+        let mut fleet = Fleet::new(&work, 2);
+        fleet.results[0] = Some(Ok(RunMetrics::failed_placeholder("sjeng")));
+        for w in 0..2 {
+            for _ in 0..=respawn_budget() {
+                assert!(!fleet.slots[w].retired, "slot {w} retires only over budget");
+                fleet.charge_slot(w, "killed by signal 6 (SIGABRT)".into());
+            }
+            assert!(fleet.slots[w].retired);
+        }
+        fleet.quarantine_unresolved();
+        assert!(fleet.results[0].as_ref().unwrap().is_ok(), "finished work survives");
+        let f4 = fleet.results[1].as_ref().unwrap().as_ref().unwrap_err();
+        assert_eq!((f4.task, f4.label.as_str()), (104, "sjeng"));
+        assert!(f4.panic_msg.contains("quarantined task"));
+        assert!(f4.panic_msg.contains("SIGABRT"));
+        let f5 = fleet.results[2].as_ref().unwrap().as_ref().unwrap_err();
+        assert_eq!((f5.task, f5.label.as_str()), (105, "mcf"));
     }
 
     #[test]
     fn respawn_backoff_doubles() {
-        let mut shard = Shard {
-            index: 0,
-            remaining: vec![0],
-            fingerprint: 1,
-            respawns: 0,
-            spawns: 1,
-            ready_at: Instant::now(),
-            last_death: "exited with code 134".into(),
-        };
-        let by_slot: HashMap<usize, (u64, &str)> = [(0, (1u64, "x"))].into_iter().collect();
-        let mut results = HashMap::new();
-        let mut queue = VecDeque::new();
-        assert!(respawn_or_quarantine(&mut shard, 0, &by_slot, &mut results, &mut queue));
-        assert_eq!(shard.respawns, 1);
-        assert_eq!(queue.pop_front(), Some(0));
-        let first_ready = shard.ready_at;
-        assert!(respawn_or_quarantine(&mut shard, 0, &by_slot, &mut results, &mut queue));
-        assert_eq!(shard.respawns, 2);
-        assert!(shard.ready_at >= first_ready, "backoff grows");
-        assert!(results.is_empty(), "respawns resolve nothing");
+        assert_eq!(backoff_ms(25, 1), 25);
+        assert_eq!(backoff_ms(25, 2), 50);
+        assert_eq!(backoff_ms(25, 3), 100);
+        // Doubling stops at the ceiling: a 1 s base waits 60 s, not
+        // 1000 << 16 ms, on its 17th respawn.
+        assert_eq!(backoff_ms(1000, 6), 32_000);
+        assert_eq!(backoff_ms(1000, 7), MAX_BACKOFF_MS);
+        assert_eq!(backoff_ms(1000, 17), MAX_BACKOFF_MS);
+        assert_eq!(backoff_ms(MAX_BACKOFF_MS, 64), MAX_BACKOFF_MS);
+
+        // Deaths charged to one task re-queue it with a growing backoff
+        // and quarantine it, alone, once over budget.
+        let pending = pending();
+        let work = work(&pending, &[1, 1, 2]);
+        let mut fleet = Fleet::new(&work, 1);
+        let mut last_ready = Instant::now();
+        for death in 1..=respawn_budget() {
+            fleet.charge_task(1, 0, "exited with code 134".into());
+            let (p, ready) = fleet.retry.pop().expect("re-queued");
+            assert_eq!((p, fleet.task_deaths[1]), (1, death));
+            assert!(ready >= last_ready, "backoff grows");
+            last_ready = ready;
+        }
+        assert!(fleet.results.iter().all(Option::is_none), "respawns resolve nothing");
+        fleet.charge_task(1, 0, "exited with code 134".into());
+        assert!(fleet.retry.is_empty());
+        let failure = fleet.results[1].as_ref().unwrap().as_ref().unwrap_err();
+        assert_eq!((failure.task, failure.attempts), (104, respawn_budget() + 1));
+        assert!(fleet.results[0].is_none() && fleet.results[2].is_none(), "group-mates live on");
+    }
+
+    #[test]
+    fn workers_claim_groups_and_retries_go_first_once_due() {
+        let pending = pending();
+        let work = work(&pending, &[1, 1, 2]);
+        let mut fleet = Fleet::new(&work, 2);
+        assert_eq!(fleet.next_task(0), Some(0), "worker 0 claims group 1");
+        assert_eq!(fleet.next_task(1), Some(2), "worker 1 claims group 2");
+        fleet.retry.push((2, Instant::now() + Duration::from_secs(3600)));
+        fleet.retry.push((0, Instant::now()));
+        assert!(fleet.work_left());
+        assert_eq!(fleet.next_task(1), Some(0), "a due retry comes before claims");
+        assert_eq!(fleet.next_task(1), Some(1), "worker 1 steals the rest of group 1");
+        assert_eq!(fleet.next_task(0), None, "the pending retry is not due yet");
+        assert!(fleet.work_left());
     }
 }

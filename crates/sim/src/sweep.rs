@@ -20,7 +20,9 @@
 //!   prepared it: the pair is prepared once even when the prep cache is
 //!   smaller than the sweep, and no worker waits on another's
 //!   preparation except at the sweep tail, where idle workers steal
-//!   single tasks to keep every worker busy;
+//!   single tasks to keep every worker busy. Under `--isolation process`
+//!   the [`crate::supervisor`] claims from the same queue for its worker
+//!   processes;
 //! - [`run_parallel`]: the legacy all-or-nothing front-end (`Vec<T>` out,
 //!   one group per task, so first-come scheduling); failures are still
 //!   isolated, recorded and reported — it panics with an aggregate
@@ -157,7 +159,7 @@ struct Accumulated {
 static ACCUMULATED: Mutex<Option<Accumulated>> = Mutex::new(None);
 
 /// Fold one executed profile into the process-wide accumulator (the
-/// supervisor records its sharded profiles through this too).
+/// supervisor records its profiles through this too).
 pub(crate) fn record_profile(profile: &ParallelismProfile) {
     let mut guard = ACCUMULATED.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let acc = guard.get_or_insert_with(Accumulated::default);
@@ -332,18 +334,22 @@ pub struct PoolTask<F> {
 /// Execute one task with panic capture, fault injection, and a bounded
 /// attempt budget. Returns the result (or the final failure) plus the
 /// total busy milliseconds across attempts. Shared with the supervisor's
-/// worker executor so in-process and sharded attempts behave identically.
+/// worker processes so in-process and process-isolated attempts behave
+/// identically; attempts are numbered from `first_attempt`, which is
+/// nonzero only when earlier worker processes died running the task.
 pub(crate) fn execute_attempts<T, F: FnMut(usize) -> T>(
     id: usize,
     label: &str,
     worker: usize,
+    first_attempt: u32,
     max_attempts: u32,
     f: &mut F,
 ) -> (Result<T, TaskFailure>, f64) {
     let max_attempts = max_attempts.max(1);
     let mut busy = 0.0;
     let mut last: Option<(String, f64)> = None;
-    for attempt in 0..max_attempts {
+    for tried in 0..max_attempts {
+        let attempt = first_attempt.saturating_add(tried);
         let mut task_span = Span::enter_with(
             label.to_owned(),
             "sweep.task",
@@ -363,12 +369,12 @@ pub(crate) fn execute_attempts<T, F: FnMut(usize) -> T>(
             }
             Err(panic_msg) => {
                 task_span.arg("status", Json::str("panicked"));
-                if attempt + 1 < max_attempts {
+                if tried + 1 < max_attempts {
                     resilience::record_retry();
                     eprintln!(
                         "sweep task {id} ({label}) panicked (attempt {}/{max_attempts}): \
                          {panic_msg}; retrying",
-                        attempt + 1
+                        tried + 1
                     );
                 }
                 last = Some((panic_msg, elapsed_ms));
@@ -387,9 +393,10 @@ pub(crate) fn execute_attempts<T, F: FnMut(usize) -> T>(
     (Err(failure), busy)
 }
 
-/// The pool's claim queue: task indices grouped by affinity key, groups
-/// in order of first appearance, each group in submission order.
-struct GroupQueue {
+/// The claim queue of the pool and of the process supervisor: task
+/// indices grouped by affinity key, groups in order of first appearance,
+/// each group in submission order.
+pub(crate) struct GroupQueue {
     groups: Vec<Vec<usize>>,
     claims: Mutex<Claims>,
 }
@@ -402,7 +409,7 @@ struct Claims {
 }
 
 impl GroupQueue {
-    fn new(keys: impl IntoIterator<Item = u64>) -> Self {
+    pub(crate) fn new(keys: impl IntoIterator<Item = u64>) -> Self {
         let mut group_of: std::collections::HashMap<u64, usize> = Default::default();
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for (i, key) in keys.into_iter().enumerate() {
@@ -421,7 +428,7 @@ impl GroupQueue {
     /// the next fresh group (which it then owns), else one task stolen
     /// from the back of the group with the most unclaimed tasks (lowest
     /// group on ties). `None` once every task is claimed.
-    fn claim(&self, own: &mut Option<usize>) -> Option<usize> {
+    pub(crate) fn claim(&self, own: &mut Option<usize>) -> Option<usize> {
         let mut claims = self.claims.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let owned = own.filter(|&g| claims.ranges[g].0 < claims.ranges[g].1);
         let g = match owned {
@@ -522,7 +529,7 @@ where
                     .expect("task claimed twice");
                 Watchdog::begin(&watchdog.slots, worker, ids[i]);
                 let (result, task_busy) =
-                    execute_attempts(ids[i], &label, worker, max_attempts, &mut task);
+                    execute_attempts(ids[i], &label, worker, 0, max_attempts, &mut task);
                 Watchdog::finish(&watchdog.slots, worker);
                 busy += task_busy;
                 assigned[i].store(worker, Ordering::Relaxed);
@@ -794,12 +801,14 @@ impl Sweep {
     /// Execute on exactly `jobs` workers (1 = serial, inline).
     ///
     /// Under `--isolation process` (parent side) the pending slots are
-    /// handed to the [`crate::supervisor`], which re-execs this binary in
-    /// worker mode per shard; merged results are byte-identical to the
-    /// in-process path because workers stream metrics in the checkpoint
-    /// byte codec. In a worker process this call either returns inert
-    /// placeholders (sweeps before the assigned one — the replay skips
-    /// them) or executes the assigned shard and exits, never returning.
+    /// handed to the [`crate::supervisor`], which re-execs this binary as
+    /// `jobs` worker processes and hands each one prep groups from the
+    /// same claim queue the thread pool uses; merged results are
+    /// byte-identical to the in-process path because workers stream
+    /// metrics in the checkpoint byte codec. In a worker process this call
+    /// either returns inert placeholders (sweeps before the target one —
+    /// the replay skips them) or serves the target sweep's `run` commands
+    /// and exits, never returning.
     pub fn run_with_jobs(self, jobs: usize) -> SweepResult {
         // Resolve the event-trace capacity once, outside the pool, so the
         // workers cannot disagree (and the env var is only parsed once).
@@ -809,24 +818,24 @@ impl Sweep {
 
         // Worker mode: the replay of the binary's main up to the target
         // sweep. Ids are still allocated (so fault-injection ids line up
-        // with the supervisor's), but only the assigned shard executes.
-        if let Some(shard) = crate::supervisor::worker_shard() {
+        // with the supervisor's), but only the target sweep executes.
+        if let Some(target) = crate::supervisor::worker_target() {
             let local_base = resilience::allocate_task_ids(n);
-            if sweep_seq < shard.sweep_seq {
+            if sweep_seq < target.sweep_seq {
                 return crate::supervisor::skipped_sweep_result(&self.requests);
             }
-            if local_base != shard.base_id {
+            if local_base != target.base_id {
                 eprintln!(
                     "warning: worker replay allocated task base {local_base} but the \
                      supervisor assigned {}; using the supervisor's ids",
-                    shard.base_id
+                    target.base_id
                 );
             }
-            crate::supervisor::run_worker_shard(self.requests, shard, capacity, sweep_seq);
+            crate::supervisor::run_worker(&self.requests, target, capacity, sweep_seq);
         }
 
-        // Each run's prep group: the pool hands all runs of one
-        // `(spec, cond)` pair to the worker that prepares it.
+        // Each run's prep group: the pool (or the supervisor) hands all
+        // runs of one `(spec, cond)` pair to the worker that prepares it.
         let prep_keys: Vec<u64> = self
             .requests
             .iter()
@@ -872,44 +881,39 @@ impl Sweep {
             }
         }
 
-        // Slots that still need to run, with their requests.
+        // Slots that still need to run, with their requests and prep keys.
         let mut pending: Vec<(usize, RunRequest)> = Vec::new();
         for (i, req) in self.requests.into_iter().enumerate() {
             if slots[i].is_none() {
                 pending.push((i, req));
             }
         }
+        let pending_keys: Vec<u64> = pending.iter().map(|&(i, _)| prep_keys[i]).collect();
 
         let attempts = resilience::task_retries() + 1;
-        let mut failures = Vec::new();
-        let mut drained = false;
+        let mut outcomes: Vec<(usize, Result<RunMetrics, TaskFailure>)> = Vec::new();
         let mut profile: Option<ParallelismProfile> = None;
+        let mut drained = false;
 
         // Process isolation: hand the pending slots to the supervisor,
-        // which shards them across re-exec'd worker processes. A
-        // supervisor that cannot start at all degrades to the thread
-        // pool with a warning rather than failing the sweep.
+        // whose worker processes claim them group by group. A supervisor
+        // that cannot start at all degrades to the thread pool with a
+        // warning rather than failing the sweep.
         if isolation == crate::supervisor::Isolation::Process && !pending.is_empty() {
-            match crate::supervisor::run_sharded(
-                &pending,
+            let work = crate::supervisor::SweepWork {
+                pending: &pending,
+                keys: &pending_keys,
                 sweep_seq,
+                requests: n,
                 base_id,
-                jobs.max(1),
-                ckpt.as_ref(),
-            ) {
-                Ok((outcomes, sharded_profile)) => {
-                    for (slot, outcome) in outcomes {
-                        match outcome {
-                            Ok(metrics) => slots[slot] = Some(metrics),
-                            Err(failure) => {
-                                resilience::record_failure(failure.clone());
-                                slots[slot] = Some(RunMetrics::failed_placeholder(&failure.label));
-                                failures.push(failure);
-                            }
-                        }
-                    }
+                ckpt: ckpt.as_ref(),
+            };
+            match crate::supervisor::supervise(&work, jobs.max(1)) {
+                Ok((resolved, supervised_profile)) => {
+                    // Under a drain, unexecuted slots are simply absent.
+                    outcomes = resolved;
+                    profile = Some(supervised_profile);
                     drained = sipt_signal::drain_requested();
-                    profile = Some(sharded_profile);
                 }
                 Err(e) => {
                     eprintln!(
@@ -919,68 +923,28 @@ impl Sweep {
             }
         }
 
-        // Thread isolation (the default, the worker-mode path, and the
-        // supervisor-unavailable fallback): pool tasks with the full
-        // per-task pipeline inside the isolation boundary — simulate,
-        // stamp the worker id, apply any injected metric corruption,
-        // audit, and append to the checkpoint.
+        // Thread isolation (the default and the supervisor-unavailable
+        // fallback): pool tasks run the shared per-task pipeline inside
+        // the isolation boundary and append to the checkpoint.
         let profile = match profile {
             Some(profile) => profile,
             None => {
                 let order: Vec<usize> = pending.iter().map(|&(i, _)| i).collect();
                 let tasks: Vec<PoolTask<_>> = pending
                     .into_iter()
-                    .map(|(i, req)| {
+                    .zip(pending_keys)
+                    .map(|((i, req), affinity)| {
                         let id = base_id + i;
                         let label = req.label.clone();
-                        let err_label = req.label.clone();
                         let key = checkpoint::task_key(sweep_seq, i);
                         let fingerprint = req.fingerprint();
                         let ckpt = ckpt.clone();
                         PoolTask {
                             id,
-                            affinity: prep_keys[i],
+                            affinity,
                             label,
-                            // The closure returns `Result`: a typed SimError
-                            // (bad trace, unknown benchmark, oversized
-                            // workload) is a deterministic property of the
-                            // *inputs*, so it is wrapped as a TaskFailure
-                            // immediately — the retry budget (which exists
-                            // for injected/transient panics) never spends an
-                            // attempt re-running it. Panics (including audit
-                            // violations) still unwind into the pool's catch
-                            // and stay retryable.
                             task: move |worker: usize| -> Result<RunMetrics, TaskFailure> {
-                                let t0 = Instant::now();
-                                let mut metrics =
-                                    match crate::runner::try_run_spec_with_trace_capacity(
-                                        &req.spec,
-                                        req.l1.clone(),
-                                        req.system,
-                                        &req.cond,
-                                        capacity,
-                                    ) {
-                                        Ok(metrics) => metrics,
-                                        Err(e) => {
-                                            return Err(TaskFailure {
-                                                task: id,
-                                                label: err_label.clone(),
-                                                worker,
-                                                panic_msg: e.to_string(),
-                                                elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
-                                                attempts: 1,
-                                            });
-                                        }
-                                    };
-                                metrics.phases.worker = worker;
-                                if resilience::inject_bit_flip(id) {
-                                    metrics.sipt.accesses ^= 1;
-                                }
-                                if crate::audit::enabled() {
-                                    if let Err(e) = crate::audit::check_metrics(&metrics) {
-                                        panic!("{e}");
-                                    }
-                                }
+                                let metrics = run_task(&req, id, capacity, worker)?;
                                 if let Some(ckpt) = &ckpt {
                                     ckpt.append(&key, fingerprint, &metrics);
                                 }
@@ -990,27 +954,33 @@ impl Sweep {
                     })
                     .collect();
 
-                let (outcomes, profile) = run_parallel_isolated(tasks, jobs, attempts);
-                for (slot, outcome) in order.into_iter().zip(outcomes) {
-                    // Two failure planes: Err(_) from the pool (panic
-                    // exhausted the retry budget) and Ok(Err(_)) from the
-                    // task itself (typed error, attempts == 1, zero retries
-                    // spent). Drain placeholders are neither — they mark
-                    // slots a graceful shutdown never executed.
-                    match outcome.and_then(|typed| typed) {
-                        Ok(metrics) => slots[slot] = Some(metrics),
-                        Err(failure) if is_drain_placeholder(&failure) => drained = true,
-                        Err(failure) => {
-                            resilience::record_failure(failure.clone());
-                            slots[slot] = Some(RunMetrics::failed_placeholder(&failure.label));
-                            failures.push(failure);
-                        }
-                    }
-                }
+                let (results, profile) = run_parallel_isolated(tasks, jobs, attempts);
+                // Two failure planes: Err(_) from the pool (panic exhausted
+                // the retry budget) and Ok(Err(_)) from the task itself
+                // (typed error, attempts == 1, zero retries spent).
+                outcomes = order
+                    .into_iter()
+                    .zip(results)
+                    .map(|(slot, outcome)| (slot, outcome.and_then(|typed| typed)))
+                    .collect();
                 profile
             }
         };
 
+        let mut failures = Vec::new();
+        for (slot, outcome) in outcomes {
+            match outcome {
+                Ok(metrics) => slots[slot] = Some(metrics),
+                // Drain placeholders are not failures: they mark slots a
+                // graceful shutdown never executed.
+                Err(failure) if is_drain_placeholder(&failure) => drained = true,
+                Err(failure) => {
+                    resilience::record_failure(failure.clone());
+                    slots[slot] = Some(RunMetrics::failed_placeholder(&failure.label));
+                    failures.push(failure);
+                }
+            }
+        }
         if drained {
             // Completed results are flushed to the checkpoint (when armed);
             // report what was saved and exit through the drain path.
@@ -1023,6 +993,48 @@ impl Sweep {
             .collect();
         SweepResult { metrics, profile, failures }
     }
+}
+
+/// One run's pipeline inside the isolation boundary, shared by the thread
+/// pool and the process workers: simulate, stamp the worker id, apply an
+/// injected bit flip, audit. A typed [`crate::SimError`] (bad trace,
+/// unknown benchmark, oversized workload) is a deterministic property of
+/// the *inputs*, so it comes back as a [`TaskFailure`] at once and the
+/// retry budget (which exists for injected/transient panics) never spends
+/// an attempt re-running it. Panics, audit violations included, unwind
+/// into the caller's catch and stay retryable.
+pub(crate) fn run_task(
+    req: &RunRequest,
+    id: usize,
+    capacity: usize,
+    worker: usize,
+) -> Result<RunMetrics, TaskFailure> {
+    let t0 = Instant::now();
+    let mut metrics = crate::runner::try_run_spec_with_trace_capacity(
+        &req.spec,
+        req.l1.clone(),
+        req.system,
+        &req.cond,
+        capacity,
+    )
+    .map_err(|e| TaskFailure {
+        task: id,
+        label: req.label.clone(),
+        worker,
+        panic_msg: e.to_string(),
+        elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
+        attempts: 1,
+    })?;
+    metrics.phases.worker = worker;
+    if resilience::inject_bit_flip(id) {
+        metrics.sipt.accesses ^= 1;
+    }
+    if crate::audit::enabled() {
+        if let Err(e) = crate::audit::check_metrics(&metrics) {
+            panic!("{e}");
+        }
+    }
+    Ok(metrics)
 }
 
 #[cfg(test)]

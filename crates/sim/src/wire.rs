@@ -1,5 +1,6 @@
 //! The worker wire protocol: sentinel-prefixed, line-oriented messages a
-//! `--worker-shard` process streams to its supervisor over stdout.
+//! `--worker-shard` process streams to its supervisor over stdout, and
+//! the `run` commands the supervisor writes to the worker's stdin.
 //!
 //! Workers are re-executions of the *current binary* (so they rebuild the
 //! same [`crate::RunRequest`]s deterministically instead of serializing
@@ -7,34 +8,42 @@
 //! binary normally prints — headers, tables, progress. The protocol
 //! therefore claims a sentinel prefix ([`SENTINEL`]) and the supervisor
 //! treats every non-sentinel line as tolerated noise. Malformed *sentinel*
-//! lines, by contrast, are protocol corruption and quarantine the worker.
+//! lines, by contrast, are protocol corruption and kill the worker.
 //!
-//! Message grammar (one line each, space-separated fields):
+//! Worker-to-supervisor grammar (one line each, space-separated fields):
 //!
 //! ```text
-//! @sipt1 hello <sweep_seq> <task_count>
-//! @sipt1 start <slot>
+//! @sipt1 hello <sweep_seq> <requests>
 //! @sipt1 done <slot> <fingerprint:016x> <metrics-hex>
 //! @sipt1 fail <slot> <attempts> <elapsed_ms-bits:016x> <message-hex>
-//! @sipt1 hb
 //! @sipt1 prep <hits> <misses> <fragment_builds> <shared_traces>
-//! @sipt1 drained <completed>
 //! ```
 //!
-//! `done` carries the full [`crate::metrics::RunMetrics`] in the
-//! checkpoint byte codec ([`crate::checkpoint::encode_metrics`]), hex
-//! encoded — the same bit-exact representation `--resume` relies on, so
-//! merged sharded results are byte-identical to in-process execution by
-//! construction. Free-text fields (panic messages) are hex encoded too:
-//! the line framing never depends on their content. `prep` carries the
-//! worker's preparation-cache counters for its shard (lookups, fragmented
-//! snapshots built, traces shared), sent once when the shard ends (before
-//! `drained` on a drain), so the parent's report counts the preparation
-//! its workers did.
+//! `hello` names the sweep the worker's replay reached and how many
+//! requests that sweep holds; the supervisor checks both against its own
+//! sweep before handing out work. `done` carries the full
+//! [`crate::metrics::RunMetrics`] in the checkpoint byte codec
+//! ([`crate::checkpoint::encode_metrics`]), hex encoded — the same
+//! bit-exact representation `--resume` relies on, so merged results are
+//! byte-identical to in-process execution by construction. Free-text
+//! fields (panic messages) are hex encoded too: the line framing never
+//! depends on their content. `prep` carries the worker's
+//! preparation-cache counters (lookups, fragmented snapshots built,
+//! traces shared), sent once just before the worker exits, so the
+//! parent's report counts the preparation its workers did.
 //!
-//! The supervisor's only downstream channel is the worker's stdin, with a
-//! single command: [`DRAIN_COMMAND`] (one line) asks the worker to finish
-//! its in-flight task, report [`WorkerMsg::Drained`], and exit cleanly.
+//! Supervisor-to-worker grammar (stdin, one command per line):
+//!
+//! ```text
+//! run <slot> <prior_deaths>
+//! ```
+//!
+//! `run` asks for one sweep-local slot; the worker answers `done` or
+//! `fail`. `prior_deaths` counts the worker processes that already died
+//! running this slot, so the worker numbers its attempts after theirs and
+//! a `:once` fault fires on the first attempt ever, not once per process.
+//! End of input means "finish or drain": the worker sends `prep` and
+//! exits 0.
 
 use crate::checkpoint::{hex_decode, hex_encode};
 
@@ -43,23 +52,16 @@ use crate::checkpoint::{hex_decode, hex_encode};
 /// treat the new lines as noise instead of misparsing them.
 pub const SENTINEL: &str = "@sipt1";
 
-/// The one stdin command a supervisor sends a worker: drain and exit.
-pub const DRAIN_COMMAND: &str = "drain";
-
 /// One worker-to-supervisor message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkerMsg {
-    /// Worker came up, reached its target sweep, and is about to execute.
+    /// Worker came up and its replay reached the target sweep; it now
+    /// waits for `run` commands.
     Hello {
         /// Sweep sequence number the worker locked onto.
         sweep_seq: usize,
-        /// Number of slots assigned to this worker's shard.
-        tasks: usize,
-    },
-    /// A slot's execution began (the supervisor starts its watchdog clock).
-    Start {
-        /// Sweep-local slot index.
-        slot: usize,
+        /// Number of requests in that sweep as the worker replayed it.
+        requests: usize,
     },
     /// A slot completed; carries the bit-exact metrics payload.
     Done {
@@ -84,10 +86,8 @@ pub enum WorkerMsg {
         /// Panic / error message.
         message: String,
     },
-    /// Liveness beacon (emitted periodically from a side thread).
-    Heartbeat,
-    /// The worker's preparation-cache counters over its shard, sent once
-    /// when the shard ends.
+    /// The worker's preparation-cache counters, sent once before it
+    /// exits.
     PrepCache {
         /// Lookups that found an existing entry.
         hits: u64,
@@ -97,12 +97,6 @@ pub enum WorkerMsg {
         fragment_builds: u64,
         /// Preparations that reused a live trace.
         shared_traces: u64,
-    },
-    /// Graceful drain acknowledged: the worker flushed `completed` slots
-    /// and is exiting cleanly.
-    Drained {
-        /// Slots fully executed before the drain.
-        completed: usize,
     },
 }
 
@@ -121,10 +115,9 @@ impl WorkerMsg {
     /// Encode as one protocol line (no trailing newline).
     pub fn encode(&self) -> String {
         match self {
-            WorkerMsg::Hello { sweep_seq, tasks } => {
-                format!("{SENTINEL} hello {sweep_seq} {tasks}")
+            WorkerMsg::Hello { sweep_seq, requests } => {
+                format!("{SENTINEL} hello {sweep_seq} {requests}")
             }
-            WorkerMsg::Start { slot } => format!("{SENTINEL} start {slot}"),
             WorkerMsg::Done { slot, fingerprint, metrics } => {
                 format!("{SENTINEL} done {slot} {fingerprint:016x} {}", hex_encode(metrics))
             }
@@ -133,20 +126,18 @@ impl WorkerMsg {
                 elapsed_ms.to_bits(),
                 hex_encode(message.as_bytes())
             ),
-            WorkerMsg::Heartbeat => format!("{SENTINEL} hb"),
             WorkerMsg::PrepCache { hits, misses, fragment_builds, shared_traces } => {
                 format!("{SENTINEL} prep {hits} {misses} {fragment_builds} {shared_traces}")
             }
-            WorkerMsg::Drained { completed } => format!("{SENTINEL} drained {completed}"),
         }
     }
 
     fn decode_fields(fields: &[&str]) -> Option<WorkerMsg> {
         match *fields {
-            ["hello", seq, tasks] => {
-                Some(WorkerMsg::Hello { sweep_seq: seq.parse().ok()?, tasks: tasks.parse().ok()? })
-            }
-            ["start", slot] => Some(WorkerMsg::Start { slot: slot.parse().ok()? }),
+            ["hello", seq, requests] => Some(WorkerMsg::Hello {
+                sweep_seq: seq.parse().ok()?,
+                requests: requests.parse().ok()?,
+            }),
             ["done", slot, fp, hex] => Some(WorkerMsg::Done {
                 slot: slot.parse().ok()?,
                 fingerprint: u64::from_str_radix(fp, 16).ok()?,
@@ -166,16 +157,12 @@ impl WorkerMsg {
                 elapsed_ms: f64::from_bits(u64::from_str_radix(elapsed, 16).ok()?),
                 message: String::new(),
             }),
-            ["hb"] => Some(WorkerMsg::Heartbeat),
             ["prep", hits, misses, fragment_builds, shared_traces] => Some(WorkerMsg::PrepCache {
                 hits: hits.parse().ok()?,
                 misses: misses.parse().ok()?,
                 fragment_builds: fragment_builds.parse().ok()?,
                 shared_traces: shared_traces.parse().ok()?,
             }),
-            ["drained", completed] => {
-                Some(WorkerMsg::Drained { completed: completed.parse().ok()? })
-            }
             _ => None,
         }
     }
@@ -199,9 +186,54 @@ pub fn parse_line(line: &str) -> Parsed {
     }
 }
 
+/// The supervisor's one command: run a sweep-local slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// Sweep-local slot index.
+    pub slot: usize,
+    /// Worker processes that already died running this slot.
+    pub prior_deaths: u32,
+}
+
+/// A stdin line that is not a well-formed [`Run`] command.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MalformedCommand(pub String);
+
+impl core::fmt::Display for MalformedCommand {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "malformed supervisor command {:?}", self.0)
+    }
+}
+
+impl Run {
+    /// Encode as one command line (no trailing newline).
+    pub fn encode(&self) -> String {
+        format!("run {} {}", self.slot, self.prior_deaths)
+    }
+
+    /// Parse one command line.
+    ///
+    /// # Errors
+    ///
+    /// [`MalformedCommand`] for anything but `run <slot> <prior_deaths>`.
+    pub fn parse(line: &str) -> Result<Run, MalformedCommand> {
+        let fields: Vec<&str> = line.split_ascii_whitespace().collect();
+        let decoded = match *fields {
+            ["run", slot, deaths] => slot
+                .parse()
+                .ok()
+                .zip(deaths.parse().ok())
+                .map(|(slot, prior_deaths)| Run { slot, prior_deaths }),
+            _ => None,
+        };
+        decoded.ok_or_else(|| MalformedCommand(line.to_owned()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(msg: WorkerMsg) {
         let line = msg.encode();
@@ -210,8 +242,8 @@ mod tests {
 
     #[test]
     fn all_messages_roundtrip() {
-        roundtrip(WorkerMsg::Hello { sweep_seq: 3, tasks: 7 });
-        roundtrip(WorkerMsg::Start { slot: 11 });
+        roundtrip(WorkerMsg::Hello { sweep_seq: 3, requests: 7 });
+        roundtrip(WorkerMsg::Hello { sweep_seq: 0, requests: usize::MAX });
         roundtrip(WorkerMsg::Done {
             slot: 2,
             fingerprint: 0xdead_beef_0123_4567,
@@ -223,7 +255,6 @@ mod tests {
             elapsed_ms: 12.625,
             message: "injected fault: panic at task 9 (attempt 1)\nwith newline".into(),
         });
-        roundtrip(WorkerMsg::Heartbeat);
         roundtrip(WorkerMsg::PrepCache {
             hits: 20,
             misses: 4,
@@ -236,7 +267,18 @@ mod tests {
             fragment_builds: u64::MAX,
             shared_traces: 0,
         });
-        roundtrip(WorkerMsg::Drained { completed: 4 });
+    }
+
+    #[test]
+    fn run_commands_roundtrip() {
+        for run in [
+            Run { slot: 0, prior_deaths: 0 },
+            Run { slot: 23, prior_deaths: 2 },
+            Run { slot: usize::MAX, prior_deaths: u32::MAX },
+        ] {
+            assert_eq!(Run::parse(&run.encode()), Ok(run));
+        }
+        assert_eq!(Run::parse("run 4 1\n"), Ok(Run { slot: 4, prior_deaths: 1 }));
     }
 
     #[test]
@@ -257,6 +299,12 @@ mod tests {
     fn corrupt_sentinel_lines_are_malformed_not_noise() {
         for line in [
             "@sipt1",
+            "@sipt1 hello 3",
+            "@sipt1 hello 3 x",
+            "@sipt1 hello 3 4 5",
+            "@sipt1 start 1",
+            "@sipt1 hb",
+            "@sipt1 drained 4",
             "@sipt1 done notanumber ffff 00",
             "@sipt1 done 1 xyz 00",
             "@sipt1 done 1 ffff zz",
@@ -276,6 +324,26 @@ mod tests {
                 matches!(parse_line(line), Parsed::Malformed(_)),
                 "line {line:?} must be malformed"
             );
+        }
+    }
+
+    #[test]
+    fn malformed_run_commands_are_typed_errors() {
+        for line in [
+            "",
+            "run",
+            "run 1",
+            "run 1 2 3",
+            "run -1 0",
+            "run 1 -1",
+            "run x 0",
+            "run 1 y",
+            "run 1 4294967296",
+            "drain",
+            "RUN 1 0",
+            "@sipt1 run 1 0",
+        ] {
+            assert_eq!(Run::parse(line), Err(MalformedCommand(line.to_owned())), "{line:?}");
         }
     }
 
@@ -304,5 +372,58 @@ mod tests {
         };
         let decoded = crate::checkpoint::decode_metrics(&back).expect("codec payload survives");
         assert_eq!(decoded.name, "wire-unit");
+    }
+
+    /// One valid line of every kind, worker messages and the command.
+    fn valid_lines() -> Vec<String> {
+        let metrics =
+            crate::checkpoint::encode_metrics(&crate::RunMetrics::failed_placeholder("mutant"));
+        vec![
+            WorkerMsg::Hello { sweep_seq: 2, requests: 24 }.encode(),
+            WorkerMsg::Done { slot: 7, fingerprint: 0x0123_4567_89ab_cdef, metrics }.encode(),
+            WorkerMsg::Fail { slot: 3, attempts: 2, elapsed_ms: 1.5, message: "boom".into() }
+                .encode(),
+            WorkerMsg::PrepCache { hits: 9, misses: 3, fragment_builds: 1, shared_traces: 2 }
+                .encode(),
+            Run { slot: 11, prior_deaths: 1 }.encode(),
+        ]
+    }
+
+    proptest! {
+        /// Fuzz-style robustness of both directions: random byte edits
+        /// (overwrite, insert, delete, truncate) of valid lines classify
+        /// as noise, a message or a malformed line, and parse as a command
+        /// or a typed error — never a panic. Whatever still decodes
+        /// re-encodes to a line that decodes to the same value (compared
+        /// by encoding, since a mutated `fail` may carry a NaN).
+        #[test]
+        fn mutated_lines_never_panic(
+            which in 0usize..5,
+            edits in proptest::collection::vec((any::<u64>(), any::<u8>(), 0u8..4), 1..6),
+        ) {
+            let mut bytes = valid_lines()[which].clone().into_bytes();
+            for (at, byte, op) in edits {
+                let at = (at % (bytes.len() as u64 + 1)) as usize;
+                match op {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 => bytes.insert(at, byte),
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.truncate(at),
+                }
+            }
+            let line = String::from_utf8_lossy(&bytes);
+            if let Parsed::Msg(msg) = parse_line(&line) {
+                let again = msg.encode();
+                let Parsed::Msg(back) = parse_line(&again) else {
+                    panic!("re-encoded {again:?} must decode");
+                };
+                prop_assert_eq!(back.encode(), again);
+            }
+            if let Ok(run) = Run::parse(&line) {
+                prop_assert_eq!(Run::parse(&run.encode()), Ok(run));
+            }
+        }
     }
 }

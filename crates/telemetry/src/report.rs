@@ -43,11 +43,14 @@ pub fn json_requested() -> bool {
 /// - **6** — additive: the `resilience` block gains a
 ///   `corrupt_checkpoint_lines` counter (checkpoint lines skipped on
 ///   `--resume` because they failed to parse) and a `supervisor` object
-///   (process-isolation sweep accounting: shards, spawns, respawns,
-///   worker deaths, quarantines, watchdog kills, drain state; `null`
+///   (process-isolation sweep accounting: spawns, respawns, worker
+///   deaths, quarantined tasks, watchdog kills, drain state; `null`
 ///   when sweeps ran in the default thread isolation). Fault-free
 ///   thread-mode payloads are byte-identical to v5 modulo the version
-///   number.
+///   number. When the supervisor moved from static shards to claiming
+///   work per task, the `supervisor` object lost its `shards`,
+///   `quarantined_shards` and `heartbeats` keys without a version bump
+///   (quarantine is per task, and workers no longer send heartbeats).
 pub const REPORT_SCHEMA_VERSION: u32 = 6;
 
 /// Wrap an artifact's payload in the standard report envelope:
