@@ -302,6 +302,37 @@ fn respawn_budget_exhaustion_quarantines_the_poison_shard() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Worker deaths lose no preparation counts: each worker reports its
+/// prep-cache counts before every result, so with a poison task killing
+/// three workers the report still counts at least one lookup per merged
+/// result.
+#[test]
+fn worker_deaths_keep_prep_cache_counts() {
+    let dir = temp_results_dir("prep-deaths");
+    let out = run_fig02(
+        &dir,
+        &[("SIPT_FAULT_INJECT", "abort:2")],
+        &["--jobs", "2", "--isolation", "process"],
+    );
+    assert_eq!(out.status.code(), Some(1), "the poison task is quarantined: {out:?}");
+    let report = read_report(&dir);
+    assert_eq!(supervisor_field(&report, "worker_deaths"), 3.0);
+    let prep = |name: &str| {
+        report
+            .path(&format!("parallelism.prep_cache.{name}"))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("parallelism.prep_cache.{name} present"))
+    };
+    let merged = supervisor_field(&report, "results_merged");
+    assert!(
+        prep("hits") + prep("misses") >= merged,
+        "{} hits + {} misses for {merged} merged results",
+        prep("hits"),
+        prep("misses")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Graceful drain: SIGTERM mid-sweep asks workers to finish in-flight
 /// tasks, flushes completed results to the checkpoint, prints resume
 /// instructions, and exits 130. A `--resume` re-run restores the drained
@@ -313,12 +344,15 @@ fn sigterm_drains_flushes_checkpoint_and_resume_roundtrips() {
     assert!(clean.status.success());
     let reference = payload_bytes(&read_report(&clean_dir));
 
-    // Slow down task 0 so the run is reliably still going when the
-    // signal lands; the slowdown never changes payload bytes.
+    // Slow down the first slot of the first two prep groups (tasks 0 and
+    // 6: one benchmark's six configurations each), which the two workers
+    // claim first, so both are busy when the signal lands and most of
+    // the sweep is still unexecuted; the slowdown never changes payload
+    // bytes.
     let dir = temp_results_dir("drain");
     let child = fig02_cmd(
         &dir,
-        &[("SIPT_FAULT_INJECT", "slow:0:2500")],
+        &[("SIPT_FAULT_INJECT", "slow:0:2500,slow:6:2500")],
         &["--jobs", "2", "--isolation", "process", "--resume"],
     )
     .stdout(Stdio::null())
@@ -333,8 +367,12 @@ fn sigterm_drains_flushes_checkpoint_and_resume_roundtrips() {
     assert_eq!(out.status.code(), Some(130), "a drained run exits 130: {out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("drain: signal received"), "drain announced: {stderr}");
+    assert!(stderr.contains("asking 2 worker(s)"), "the drain asks both workers: {stderr}");
     assert!(stderr.contains("--resume to continue"), "resume instructions printed: {stderr}");
-    assert!(dir.join("fig02.checkpoint.json").exists(), "checkpoint flushed");
+    let checkpoint =
+        std::fs::read_to_string(dir.join("fig02.checkpoint.json")).expect("checkpoint flushed");
+    let flushed = checkpoint.lines().filter(|l| !l.trim().is_empty()).count();
+    assert!((1..24).contains(&flushed), "the drain leaves tasks unexecuted: {flushed} flushed");
     assert!(!dir.join("fig02.json").exists(), "a drained run publishes no report");
 
     // Resume (fault-free this time): restores the drained tasks,

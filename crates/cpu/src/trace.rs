@@ -98,7 +98,39 @@ impl Inst {
 /// here, next to the ISA, so the two stay in sync.
 pub const META_HAS_MEM: u32 = 1 << 21;
 
+/// Packed-metadata bit: set when the memory op is a store.
+pub const META_STORE: u32 = 1 << 22;
+
+/// The metadata bits naming `r` as destination register.
+#[inline(always)]
+pub const fn meta_dst(r: Reg) -> u32 {
+    r as u32 | 1 << 6
+}
+
+/// The metadata bits naming `r` as first source register.
+#[inline(always)]
+pub const fn meta_src0(r: Reg) -> u32 {
+    (r as u32) << 7 | 1 << 13
+}
+
+/// The metadata bits naming `r` as second source register.
+#[inline(always)]
+pub const fn meta_src1(r: Reg) -> u32 {
+    (r as u32) << 14 | 1 << 20
+}
+
+/// The metadata bits of an execution latency of `cycles` (1..=255).
+#[inline(always)]
+pub const fn meta_latency(cycles: u32) -> u32 {
+    cycles << 23
+}
+
 /// Pack the non-address fields of `inst` into one metadata word.
+///
+/// Generators that know their fields up front build the word directly
+/// from [`meta_dst`], [`meta_src0`], [`meta_src1`], [`META_HAS_MEM`],
+/// [`META_STORE`] and [`meta_latency`]; this is the same packing from an
+/// [`Inst`].
 ///
 /// # Panics
 ///
@@ -110,26 +142,20 @@ pub fn pack_inst_meta(inst: &Inst) -> u32 {
         "exec_latency {} does not fit the packed encoding",
         inst.exec_latency
     );
-    let mut m = 0u32;
-    if let Some(d) = inst.dst {
-        assert!((d as usize) < NUM_REGS, "register {d} out of range");
-        m |= (d as u32) | (1 << 6);
-    }
-    if let Some(s) = inst.srcs[0] {
-        assert!((s as usize) < NUM_REGS, "register {s} out of range");
-        m |= ((s as u32) << 7) | (1 << 13);
-    }
-    if let Some(s) = inst.srcs[1] {
-        assert!((s as usize) < NUM_REGS, "register {s} out of range");
-        m |= ((s as u32) << 14) | (1 << 20);
-    }
-    if let Some(mem) = inst.mem {
-        m |= META_HAS_MEM;
-        if mem.op == MemOp::Store {
-            m |= 1 << 22;
-        }
-    }
-    m | ((inst.exec_latency as u32) << 23)
+    let reg = |r: Option<Reg>, place: fn(Reg) -> u32| {
+        r.map_or(0, |r| {
+            assert!((r as usize) < NUM_REGS, "register {r} out of range");
+            place(r)
+        })
+    };
+    let mem = inst
+        .mem
+        .map_or(0, |mem| META_HAS_MEM | if mem.op == MemOp::Store { META_STORE } else { 0 });
+    reg(inst.dst, meta_dst)
+        | reg(inst.srcs[0], meta_src0)
+        | reg(inst.srcs[1], meta_src1)
+        | mem
+        | meta_latency(inst.exec_latency as u32)
 }
 
 /// Whether a packed metadata word references memory (i.e. whether
@@ -151,7 +177,7 @@ pub fn unpack_inst_meta(meta: u32, pc: u64, va: Option<VirtAddr>) -> Inst {
         (meta & (1 << present) != 0).then(|| ((meta >> shift) & 0x3F) as Reg)
     };
     let mem = (meta & META_HAS_MEM != 0).then(|| MemRef {
-        op: if meta & (1 << 22) != 0 { MemOp::Store } else { MemOp::Load },
+        op: if meta & META_STORE != 0 { MemOp::Store } else { MemOp::Load },
         va: va.expect("packed instruction references memory but no VA was supplied"),
     });
     Inst {
@@ -173,7 +199,7 @@ pub fn unpack_meta_fields(meta: u32) -> (Option<Reg>, [Option<Reg>; 2], Option<b
     let reg = |shift: u32, present: u32| -> Option<Reg> {
         (meta & (1 << present) != 0).then(|| ((meta >> shift) & 0x3F) as Reg)
     };
-    let mem_store = (meta & META_HAS_MEM != 0).then_some(meta & (1 << 22) != 0);
+    let mem_store = (meta & META_HAS_MEM != 0).then_some(meta & META_STORE != 0);
     (reg(0, 6), [reg(7, 13), reg(14, 20)], mem_store, ((meta >> 23) & 0xFF) as u64)
 }
 

@@ -14,10 +14,10 @@
 //! re-runs the binary's `main`, skips every sweep before its target
 //! (inert placeholders), says `hello`, and then runs whatever slots of
 //! the target sweep the supervisor sends it, one `run` command at a time,
-//! streaming each result as bit-exact checkpoint-codec bytes. Closing its
-//! stdin tells it to finish (or drain): it reports its prep-cache counts
-//! and exits. Because every run is a pure function of its
-//! [`crate::RunRequest`], the merged results are byte-identical to
+//! streaming each result as bit-exact checkpoint-codec bytes, preceded
+//! by the prep-cache counts that run added. Closing its stdin tells it
+//! to finish (or drain): it exits. Because every run is a pure function
+//! of its [`crate::RunRequest`], the merged results are byte-identical to
 //! in-process execution — the kernel-bit-identity fingerprints hold
 //! across `--isolation thread|process` at any job count.
 //!
@@ -237,7 +237,7 @@ pub(crate) fn run_worker(
     resilience::install_quiet_panic_hook();
     emit(&WorkerMsg::Hello { sweep_seq, requests: requests.len() });
 
-    let prep_start = crate::prep_cache::stats();
+    let mut prep_sent = crate::prep_cache::stats();
     let attempts = resilience::task_retries() + 1;
     for line in std::io::stdin().lock().lines() {
         let Ok(line) = line else { break };
@@ -261,6 +261,16 @@ pub(crate) fn run_worker(
             attempts,
             &mut task,
         );
+        // The prep counts go out before the result, so a worker that
+        // dies later has already reported the preparation it did.
+        let now = crate::prep_cache::stats();
+        emit(&WorkerMsg::PrepCache {
+            hits: now.hits.saturating_sub(prep_sent.hits),
+            misses: now.misses.saturating_sub(prep_sent.misses),
+            fragment_builds: now.fragment_builds.saturating_sub(prep_sent.fragment_builds),
+            shared_traces: now.shared_traces.saturating_sub(prep_sent.shared_traces),
+        });
+        prep_sent = now;
         emit(&match outcome.and_then(|typed| typed) {
             Ok(metrics) => WorkerMsg::Done {
                 slot: run.slot,
@@ -277,13 +287,6 @@ pub(crate) fn run_worker(
     }
 
     // End of input: the sweep is done or draining.
-    let now = crate::prep_cache::stats();
-    emit(&WorkerMsg::PrepCache {
-        hits: now.hits.saturating_sub(prep_start.hits),
-        misses: now.misses.saturating_sub(prep_start.misses),
-        fragment_builds: now.fragment_builds.saturating_sub(prep_start.fragment_builds),
-        shared_traces: now.shared_traces.saturating_sub(prep_start.shared_traces),
-    });
     std::process::exit(0);
 }
 

@@ -14,9 +14,9 @@
 //!
 //! ```text
 //! @sipt1 hello <sweep_seq> <requests>
+//! @sipt1 prep <hits> <misses> <fragment_builds> <shared_traces>
 //! @sipt1 done <slot> <fingerprint:016x> <metrics-hex>
 //! @sipt1 fail <slot> <attempts> <elapsed_ms-bits:016x> <message-hex>
-//! @sipt1 prep <hits> <misses> <fragment_builds> <shared_traces>
 //! ```
 //!
 //! `hello` names the sweep the worker's replay reached and how many
@@ -27,10 +27,11 @@
 //! bit-exact representation `--resume` relies on, so merged results are
 //! byte-identical to in-process execution by construction. Free-text
 //! fields (panic messages) are hex encoded too: the line framing never
-//! depends on their content. `prep` carries the worker's
+//! depends on their content. `prep` carries what the worker's
 //! preparation-cache counters (lookups, fragmented snapshots built,
-//! traces shared), sent once just before the worker exits, so the
-//! parent's report counts the preparation its workers did.
+//! traces shared) gained since its previous `prep` line, sent just before
+//! every `done` or `fail`, so the parent's report counts the preparation
+//! its workers did, also when a worker dies later.
 //!
 //! Supervisor-to-worker grammar (stdin, one command per line):
 //!
@@ -42,8 +43,7 @@
 //! `fail`. `prior_deaths` counts the worker processes that already died
 //! running this slot, so the worker numbers its attempts after theirs and
 //! a `:once` fault fires on the first attempt ever, not once per process.
-//! End of input means "finish or drain": the worker sends `prep` and
-//! exits 0.
+//! End of input means "finish or drain": the worker exits 0.
 
 use crate::checkpoint::{hex_decode, hex_encode};
 
@@ -86,8 +86,8 @@ pub enum WorkerMsg {
         /// Panic / error message.
         message: String,
     },
-    /// The worker's preparation-cache counters, sent once before it
-    /// exits.
+    /// What the worker's preparation-cache counters gained since its
+    /// previous `prep` line; sent before every `done` or `fail`.
     PrepCache {
         /// Lookups that found an existing entry.
         hits: u64,

@@ -7,9 +7,19 @@
 //! stable role — streaming a slice, probing a hash region, chasing
 //! pointers, or hammering a hot set — mirroring how real load PCs behave
 //! and giving the PC-indexed SIPT predictors something learnable.
+//!
+//! The generator emits each instruction already packed: `TraceGen::step`
+//! yields the PC, the metadata word in `sipt_cpu`'s packed layout and the
+//! virtual address of a memory reference. The random register and latency
+//! choices are arithmetic on the drawn bits, not `Option`s packed later,
+//! so [`crate::MaterializedTrace::from_gen`] only pushes the three fields
+//! into its arrays. `Iterator::next` unpacks the same step into an
+//! [`Inst`].
 
 use crate::spec::{AllocPattern, WorkloadSpec};
-use sipt_cpu::{Inst, MemOp, MemRef};
+use sipt_cpu::{
+    meta_dst, meta_latency, meta_src0, meta_src1, unpack_inst_meta, Inst, META_HAS_MEM, META_STORE,
+};
 use sipt_mem::{AddressSpace, BuddyAllocator, MemError, Region, VirtAddr, PAGE_SIZE};
 use sipt_rng::{Rng, SeedableRng, StdRng};
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -21,6 +31,10 @@ pub struct Layout {
     regions: Vec<Region>,
     /// Cumulative starting offset of each region in the linear space.
     cumulative: Vec<u64>,
+    /// The size shared by every region but the last, when they share one
+    /// (single-region, `Chunked` and `Incremental` layouts): the region
+    /// holding an offset is then `offset / stride`, capped at the last.
+    stride: Option<u64>,
     bytes: u64,
 }
 
@@ -32,7 +46,11 @@ impl Layout {
             cumulative.push(total);
             total += r.bytes();
         }
-        Self { regions, cumulative, bytes: total }
+        let stride = regions.split_last().and_then(|(_, init)| {
+            let size = regions[0].bytes();
+            (size > 0 && init.iter().all(|r| r.bytes() == size)).then_some(size)
+        });
+        Self { regions, cumulative, stride, bytes: total }
     }
 
     /// Total bytes mapped.
@@ -45,13 +63,23 @@ impl Layout {
     /// # Panics
     ///
     /// Panics if `offset >= bytes()`.
+    #[inline]
     pub fn va_of(&self, offset: u64) -> VirtAddr {
         assert!(offset < self.bytes, "offset {offset} beyond layout ({})", self.bytes);
-        let idx = match self.cumulative.binary_search(&offset) {
-            Ok(i) => i,
-            Err(i) => i - 1,
+        let idx = match self.stride {
+            Some(stride) => ((offset / stride) as usize).min(self.regions.len() - 1),
+            None => self.search(offset),
         };
         self.regions[idx].start + (offset - self.cumulative[idx])
+    }
+
+    /// The index of the region holding `offset`, by binary search over
+    /// the regions' starting offsets.
+    fn search(&self, offset: u64) -> usize {
+        match self.cumulative.binary_search(&offset) {
+            Ok(i) => i,
+            Err(i) => i - 1,
+        }
     }
 }
 
@@ -287,7 +315,6 @@ impl TraceGen {
         step: &mut u64,
         burst_left: &mut u32,
     ) -> u64 {
-        use sipt_mem::PAGE_SIZE;
         if *burst_left == 0 {
             let first_page = lo / PAGE_SIZE;
             let last_page = (hi.saturating_sub(8)) / PAGE_SIZE;
@@ -301,7 +328,24 @@ impl TraceGen {
         (*page * PAGE_SIZE + off_in_page).clamp(lo, hi - 8)
     }
 
-    fn gen_mem(&mut self) -> Inst {
+    /// Emit the next instruction packed: its PC, its metadata word in
+    /// `sipt_cpu`'s layout and, for a memory reference, its virtual
+    /// address. `None` once the stream is exhausted. This is the only
+    /// generator: `Iterator::next` unpacks what it yields.
+    #[inline]
+    pub(crate) fn step(&mut self) -> Option<(u64, u32, Option<VirtAddr>)> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        // `spec.validate` checked the ratios, so plain draws match
+        // `gen_bool` without its per-call range check.
+        Some(if self.rng.next_f64() < self.mem_ratio { self.emit_mem() } else { self.emit_alu() })
+    }
+
+    /// Advance the current static memory PC's role: its PC, the linear
+    /// offset it touches, and whether it is a pointer chase.
+    fn next_access(&mut self) -> (u64, u64, bool) {
         if self.static_run_left == 0 {
             self.cur_static = self.rng.gen_range(0..self.statics.len());
             // Streaming kernels are tight inner loops sweeping long
@@ -318,94 +362,86 @@ impl TraceGen {
         self.static_run_left -= 1;
         let idx = self.cur_static;
         let bytes = self.layout.bytes();
-        let (pc, offset, is_chase) = {
-            let s = &mut self.statics[idx];
-            match &mut s.role {
-                Role::Stream { cursor, stride, lo, hi } => {
-                    let span = *hi - *lo;
-                    let off = *lo + *cursor;
-                    *cursor = (*cursor + *stride) % span;
-                    (s.pc, off.min(bytes - 8), false)
-                }
-                Role::Burst { lo, hi, page, step, burst_left } => {
-                    let off = Self::burst_step(&mut self.rng, *lo, *hi, page, step, burst_left);
-                    (s.pc, off, false)
-                }
-                Role::AltBurst { lo, hi, pages, step, burst_left, toggle } => {
-                    use sipt_mem::PAGE_SIZE;
-                    if *burst_left == 0 {
-                        let first = *lo / PAGE_SIZE;
-                        let last = (hi.saturating_sub(8)) / PAGE_SIZE;
-                        pages[0] = self.rng.gen_range(first..=last);
-                        pages[1] = self.rng.gen_range(first..=last);
-                        *step = self.rng.gen_range(0..PAGE_SIZE / 8);
-                        *burst_left = self.rng.gen_range(64..=256);
-                    }
-                    *burst_left -= 1;
-                    let page = pages[*toggle as usize];
-                    *toggle = !*toggle;
-                    let off_in_page = (*step * 8) % PAGE_SIZE;
-                    if *toggle {
-                        *step += 1; // advance once per A/B pair
-                    }
-                    let off = (page * PAGE_SIZE + off_in_page).clamp(*lo, *hi - 8);
-                    (s.pc, off, false)
-                }
-                Role::Chase { lo, hi, page, step, burst_left } => {
-                    let off = Self::burst_step(&mut self.rng, *lo, *hi, page, step, burst_left);
-                    (s.pc, off, true)
-                }
-                Role::Hot { slice_lo, slice_hi, tiny } => {
-                    // Most accesses hit the tiny set; the tail sweeps the
-                    // whole slice (capacity-sensitive component).
-                    let off = if self.rng.gen_bool(0.92) {
-                        *slice_lo + (self.rng.gen_range(0..*tiny) & !7)
-                    } else {
-                        self.rng.gen_range(*slice_lo..*slice_hi - 8) & !7
-                    };
-                    (s.pc, off, false)
-                }
+        let s = &mut self.statics[idx];
+        match &mut s.role {
+            Role::Stream { cursor, stride, lo, hi } => {
+                let span = *hi - *lo;
+                let off = *lo + *cursor;
+                *cursor = (*cursor + *stride) % span;
+                (s.pc, off.min(bytes - 8), false)
             }
-        };
+            Role::Burst { lo, hi, page, step, burst_left } => {
+                let off = Self::burst_step(&mut self.rng, *lo, *hi, page, step, burst_left);
+                (s.pc, off, false)
+            }
+            Role::AltBurst { lo, hi, pages, step, burst_left, toggle } => {
+                if *burst_left == 0 {
+                    let first = *lo / PAGE_SIZE;
+                    let last = (hi.saturating_sub(8)) / PAGE_SIZE;
+                    pages[0] = self.rng.gen_range(first..=last);
+                    pages[1] = self.rng.gen_range(first..=last);
+                    *step = self.rng.gen_range(0..PAGE_SIZE / 8);
+                    *burst_left = self.rng.gen_range(64..=256);
+                }
+                *burst_left -= 1;
+                let page = pages[*toggle as usize];
+                *toggle = !*toggle;
+                let off_in_page = (*step * 8) % PAGE_SIZE;
+                if *toggle {
+                    *step += 1; // advance once per A/B pair
+                }
+                let off = (page * PAGE_SIZE + off_in_page).clamp(*lo, *hi - 8);
+                (s.pc, off, false)
+            }
+            Role::Chase { lo, hi, page, step, burst_left } => {
+                let off = Self::burst_step(&mut self.rng, *lo, *hi, page, step, burst_left);
+                (s.pc, off, true)
+            }
+            Role::Hot { slice_lo, slice_hi, tiny } => {
+                // Most accesses hit the tiny set; the tail sweeps the
+                // whole slice (capacity-sensitive component).
+                let off = if self.rng.gen_bool(0.92) {
+                    *slice_lo + (self.rng.gen_range(0..*tiny) & !7)
+                } else {
+                    self.rng.gen_range(*slice_lo..*slice_hi - 8) & !7
+                };
+                (s.pc, off, false)
+            }
+        }
+    }
+
+    fn emit_mem(&mut self) -> (u64, u32, Option<VirtAddr>) {
+        let (pc, offset, is_chase) = self.next_access();
         let va = self.layout.va_of(offset);
-        if is_chase {
+        let meta = if is_chase {
             // Serialize: the address depends on the previous chased value.
-            Inst {
-                pc,
-                dst: Some(CHASE_REG),
-                srcs: [Some(CHASE_REG), None],
-                mem: Some(MemRef { op: MemOp::Load, va }),
-                exec_latency: 1,
-            }
-        } else if self.rng.gen_bool(self.store_ratio) {
-            Inst::store(pc, Some(self.last_alu_dst), None, va)
+            meta_dst(CHASE_REG) | meta_src0(CHASE_REG)
+        } else if self.rng.next_f64() < self.store_ratio {
+            meta_src0(self.last_alu_dst) | META_STORE
         } else {
             let dst = LOAD_REG_BASE + (self.load_rot % LOAD_REGS);
             self.load_rot = self.load_rot.wrapping_add(1);
             // Half of the loads take their address from a recent ALU
             // result, coupling them into the dependence graph.
-            let addr_reg = if self.rng.gen_bool(0.5) { Some(self.last_alu_dst) } else { None };
-            Inst::load(pc, dst, addr_reg, va)
-        }
+            let addr_reg = (self.rng.next_f64() < 0.5) as u32 * meta_src0(self.last_alu_dst);
+            meta_dst(dst) | addr_reg
+        };
+        (pc, meta | META_HAS_MEM | meta_latency(1), Some(va))
     }
 
-    fn gen_alu(&mut self) -> Inst {
+    fn emit_alu(&mut self) -> (u64, u32, Option<VirtAddr>) {
         let dst = self.alu_rot % ALU_REGS;
         self.alu_rot = self.alu_rot.wrapping_add(1);
         // Short dependence chains with real ILP: 40% of ALU ops extend the
         // previous chain (mean chain length ≈ 1.7), 30% consume the most
-        // recent load result, the rest are independent.
-        let src1 = self.rng.gen_bool(0.4).then_some(self.last_alu_dst);
-        let src2 = self
-            .rng
-            .gen_bool(0.3)
-            .then(|| LOAD_REG_BASE + self.load_rot.wrapping_sub(1) % LOAD_REGS);
-        let mut inst = Inst::alu(0x10_0000 + dst as u64 * 4, dst, [src1, src2]);
-        if self.rng.gen_bool(0.1) {
-            inst.exec_latency = 3; // multiplies etc.
-        }
+        // recent load result, the rest are independent; 10% are
+        // multiplies etc. with latency 3.
+        let chain = (self.rng.next_f64() < 0.4) as u32 * meta_src0(self.last_alu_dst);
+        let last_load = LOAD_REG_BASE + self.load_rot.wrapping_sub(1) % LOAD_REGS;
+        let consume = (self.rng.next_f64() < 0.3) as u32 * meta_src1(last_load);
+        let latency = meta_latency(1 + 2 * (self.rng.next_f64() < 0.1) as u32);
         self.last_alu_dst = dst;
-        inst
+        (0x10_0000 + dst as u64 * 4, meta_dst(dst) | chain | consume | latency, None)
     }
 }
 
@@ -443,15 +479,7 @@ impl Iterator for TraceGen {
     type Item = Inst;
 
     fn next(&mut self) -> Option<Inst> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        if self.rng.gen_bool(self.mem_ratio) {
-            Some(self.gen_mem())
-        } else {
-            Some(self.gen_alu())
-        }
+        self.step().map(|(pc, meta, va)| unpack_inst_meta(meta, pc, va))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -466,7 +494,183 @@ impl ExactSizeIterator for TraceGen {}
 mod tests {
     use super::*;
     use crate::spec::{benchmark, BENCHMARKS};
-    use sipt_mem::PlacementPolicy;
+    use proptest::prelude::*;
+    use sipt_cpu::{pack_inst_meta, MemOp, MemRef};
+    use sipt_mem::{fragment_memory, PlacementPolicy};
+
+    impl Layout {
+        /// `va_of` by binary search alone, whatever the layout.
+        fn searched_va(&self, offset: u64) -> VirtAddr {
+            let idx = self.search(offset);
+            self.regions[idx].start + (offset - self.cumulative[idx])
+        }
+    }
+
+    /// The generator as it was before it emitted packed words: it builds
+    /// an `Inst` from `Option` fields per step and finds an address's
+    /// region by binary search. It shares the role stepping
+    /// (`next_access`) and draws the same RNG values in the same order,
+    /// so `TraceGen::step` must match it word for word.
+    struct InstOracle(TraceGen);
+
+    impl InstOracle {
+        fn gen_mem(&mut self) -> Inst {
+            let g = &mut self.0;
+            let (pc, offset, is_chase) = g.next_access();
+            let va = g.layout.searched_va(offset);
+            if is_chase {
+                Inst {
+                    pc,
+                    dst: Some(CHASE_REG),
+                    srcs: [Some(CHASE_REG), None],
+                    mem: Some(MemRef { op: MemOp::Load, va }),
+                    exec_latency: 1,
+                }
+            } else if g.rng.gen_bool(g.store_ratio) {
+                Inst::store(pc, Some(g.last_alu_dst), None, va)
+            } else {
+                let dst = LOAD_REG_BASE + (g.load_rot % LOAD_REGS);
+                g.load_rot = g.load_rot.wrapping_add(1);
+                let addr_reg = if g.rng.gen_bool(0.5) { Some(g.last_alu_dst) } else { None };
+                Inst::load(pc, dst, addr_reg, va)
+            }
+        }
+
+        fn gen_alu(&mut self) -> Inst {
+            let g = &mut self.0;
+            let dst = g.alu_rot % ALU_REGS;
+            g.alu_rot = g.alu_rot.wrapping_add(1);
+            let src1 = g.rng.gen_bool(0.4).then_some(g.last_alu_dst);
+            let src2 =
+                g.rng.gen_bool(0.3).then(|| LOAD_REG_BASE + g.load_rot.wrapping_sub(1) % LOAD_REGS);
+            let mut inst = Inst::alu(0x10_0000 + dst as u64 * 4, dst, [src1, src2]);
+            if g.rng.gen_bool(0.1) {
+                inst.exec_latency = 3;
+            }
+            g.last_alu_dst = dst;
+            inst
+        }
+    }
+
+    impl Iterator for InstOracle {
+        type Item = Inst;
+
+        fn next(&mut self) -> Option<Inst> {
+            if self.0.remaining == 0 {
+                return None;
+            }
+            self.0.remaining -= 1;
+            Some(if self.0.rng.gen_bool(self.0.mem_ratio) {
+                self.gen_mem()
+            } else {
+                self.gen_alu()
+            })
+        }
+    }
+
+    /// The packed emitter against the `Inst`-building oracle: every
+    /// benchmark, two seeds, three placements and a fragmented
+    /// allocator yield the same PCs, metadata words and addresses and
+    /// leave the same generator state.
+    #[test]
+    fn packed_emitter_matches_the_inst_oracle() {
+        const N: u64 = 20_000;
+        let mut fragmented = BuddyAllocator::with_bytes(2 << 30);
+        let _pinned = fragment_memory(&mut fragmented, 0.5, &mut StdRng::seed_from_u64(7)).unwrap();
+        let conditions = [
+            (PlacementPolicy::LinuxDefault, BuddyAllocator::with_bytes(2 << 30)),
+            (PlacementPolicy::ThpOff, BuddyAllocator::with_bytes(2 << 30)),
+            (PlacementPolicy::Scattered, BuddyAllocator::with_bytes(2 << 30)),
+            (PlacementPolicy::LinuxDefault, fragmented),
+        ];
+        for spec in BENCHMARKS {
+            for seed in [42, 7919] {
+                for (k, (policy, phys)) in conditions.iter().enumerate() {
+                    let mut phys = phys.clone();
+                    let mut asp = AddressSpace::new(1, *policy);
+                    let mut gen = TraceGen::build(spec, &mut asp, &mut phys, N, seed).unwrap();
+                    let mut oracle = InstOracle(gen.clone());
+                    let ctx = format!("{} seed {seed} condition {k}", spec.name);
+                    let mut n = 0;
+                    while let Some((pc, meta, va)) = gen.step() {
+                        let inst = oracle.next().unwrap_or_else(|| panic!("{ctx}: oracle ended"));
+                        assert_eq!(pc, inst.pc, "{ctx}: pc of instruction {n}");
+                        assert_eq!(meta, pack_inst_meta(&inst), "{ctx}: meta of instruction {n}");
+                        assert_eq!(va, inst.mem.map(|m| m.va), "{ctx}: va of instruction {n}");
+                        n += 1;
+                    }
+                    assert_eq!((n, oracle.next()), (N, None), "{ctx}: stream length");
+                    assert_eq!(gen.state_fingerprint(), oracle.0.state_fingerprint(), "{ctx}");
+                }
+            }
+        }
+    }
+
+    fn regions_of(pages: &[u64], gap_pages: u64) -> Vec<Region> {
+        let mut start = 0x7f00_0000_0000;
+        pages
+            .iter()
+            .map(|&p| {
+                let r = Region { start: VirtAddr::new(start), pages: p };
+                start += (p + gap_pages) * PAGE_SIZE;
+                r
+            })
+            .collect()
+    }
+
+    /// `va_of` (strided where the layout allows) against the binary
+    /// search at every region boundary, one byte either side of it, the
+    /// last byte and `probes` random offsets.
+    fn assert_va_of_matches_search(layout: &Layout, probes: u64, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let boundaries = layout.cumulative.iter().flat_map(|&c| [c.saturating_sub(1), c, c + 1]);
+        let random = (0..probes).map(|_| rng.gen_range(0..layout.bytes()));
+        for offset in boundaries.chain([layout.bytes() - 1]).chain(random) {
+            if offset < layout.bytes() {
+                assert_eq!(layout.va_of(offset), layout.searched_va(offset), "offset {offset}");
+            }
+        }
+    }
+
+    proptest! {
+        /// Equal regions with a shorter (or equal) last one: strided.
+        #[test]
+        fn strided_va_of_matches_search_on_uniform_layouts(
+            n in 1usize..64,
+            size in 1u64..512,
+            last in 1u64..=512,
+            gap in 0u64..4,
+            seed in any::<u64>(),
+        ) {
+            let mut pages = vec![size; n];
+            pages[n - 1] = last.min(size);
+            let layout = Layout::new(regions_of(&pages, gap));
+            prop_assert_eq!(layout.stride, Some(pages[0] * PAGE_SIZE));
+            assert_va_of_matches_search(&layout, 64, seed);
+        }
+
+        /// Regions of random sizes: strided only if they happen to be
+        /// uniform, searched otherwise; the answers agree either way.
+        #[test]
+        fn va_of_matches_search_on_irregular_layouts(
+            pages in proptest::collection::vec(1u64..64, 1..64),
+            gap in 0u64..4,
+            seed in any::<u64>(),
+        ) {
+            let layout = Layout::new(regions_of(&pages, gap));
+            let uniform = pages[..pages.len() - 1].iter().all(|&p| p == pages[0]);
+            prop_assert_eq!(layout.stride.is_some(), uniform);
+            assert_va_of_matches_search(&layout, 64, seed);
+        }
+
+        /// One region of any size: offset 0 onwards is that region.
+        #[test]
+        fn single_region_layout_is_one_stride(pages in 1u64..100_000, seed in any::<u64>()) {
+            let layout = Layout::new(regions_of(&[pages], 0));
+            prop_assert_eq!(layout.stride, Some(pages * PAGE_SIZE));
+            assert_va_of_matches_search(&layout, 64, seed);
+        }
+    }
 
     fn build_for(name: &str, instructions: u64) -> (TraceGen, AddressSpace) {
         let spec = benchmark(name).unwrap();

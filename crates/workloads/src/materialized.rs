@@ -11,6 +11,12 @@
 //! bit-identical `Inst`s. All randomness is spent at materialization
 //! time; replay is pure array walking.
 //!
+//! The generator emits packed metadata words itself (see the `gen`
+//! module), so [`MaterializedTrace::from_gen`] never builds an `Inst`:
+//! it pushes each step's PC, word and address straight into the arrays.
+//! Only [`MaterializedTrace::from_insts`] packs with
+//! `sipt_cpu::pack_inst_meta`.
+//!
 //! Per instruction the encoding stores 12 bytes (8-byte PC + 4-byte
 //! metadata word, layout defined in `sipt-cpu`) plus 8 bytes per memory
 //! reference, versus 56 bytes for a `Vec<Inst>`.
@@ -38,17 +44,22 @@ pub struct MaterializedTrace {
 
 impl MaterializedTrace {
     /// Drain `gen` to completion, spending all of its RNG work now so
-    /// that replay does none.
-    pub fn from_gen(gen: TraceGen) -> Self {
-        let (lower, upper) = gen.size_hint();
-        let n = upper.unwrap_or(lower);
-        let mut trace =
-            Self { pcs: Vec::with_capacity(n), meta: Vec::with_capacity(n), mem_vas: Vec::new() };
-        for inst in gen {
-            trace.push(&inst);
+    /// that replay does none. The generator emits packed words, so this
+    /// only pushes them into the arrays.
+    pub fn from_gen(mut gen: TraceGen) -> Self {
+        let n = gen.len();
+        let mut pcs = Vec::with_capacity(n);
+        let mut meta = Vec::with_capacity(n);
+        let mut mem_vas = Vec::with_capacity(n);
+        while let Some((pc, m, va)) = gen.step() {
+            pcs.push(pc);
+            meta.push(m);
+            if let Some(va) = va {
+                mem_vas.push(va.raw());
+            }
         }
-        trace.mem_vas.shrink_to_fit();
-        trace
+        mem_vas.shrink_to_fit();
+        Self { pcs, meta, mem_vas }
     }
 
     /// Materialize an arbitrary instruction sequence (trace files,
