@@ -12,8 +12,10 @@
 //! leak between tests.
 
 use sipt_telemetry::json::{self, Json};
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
+use std::sync::mpsc;
 use std::time::Duration;
 
 fn temp_results_dir(tag: &str) -> PathBuf {
@@ -346,11 +348,12 @@ fn sigterm_drains_flushes_checkpoint_and_resume_roundtrips() {
 
     // Slow down the first slot of the first two prep groups (tasks 0 and
     // 6: one benchmark's six configurations each), which the two workers
-    // claim first, so both are busy when the signal lands and most of
-    // the sweep is still unexecuted; the slowdown never changes payload
-    // bytes.
+    // claim first, and send the signal once both have announced their
+    // sleep: both workers are then busy and most of the sweep is still
+    // unexecuted, however long the workers took to start. The slowdown
+    // never changes payload bytes.
     let dir = temp_results_dir("drain");
-    let child = fig02_cmd(
+    let mut child = fig02_cmd(
         &dir,
         &[("SIPT_FAULT_INJECT", "slow:0:2500,slow:6:2500")],
         &["--jobs", "2", "--isolation", "process", "--resume"],
@@ -359,13 +362,32 @@ fn sigterm_drains_flushes_checkpoint_and_resume_roundtrips() {
     .stderr(Stdio::piped())
     .spawn()
     .expect("fig02 spawns");
-    std::thread::sleep(Duration::from_millis(600));
+    let (lines_tx, lines_rx) = mpsc::channel();
+    let stderr_pipe = child.stderr.take().expect("stderr piped");
+    let reader = std::thread::spawn(move || {
+        let mut all = String::new();
+        for line in BufReader::new(stderr_pipe).lines().map_while(Result::ok) {
+            let _ = lines_tx.send(line.clone());
+            all.push_str(&line);
+            all.push('\n');
+        }
+        all
+    });
+    let mut in_flight = [false; 2];
+    while in_flight != [true, true] {
+        let line = lines_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("both slowed tasks start within 60 s");
+        for (seen, task) in in_flight.iter_mut().zip(["slow task 0 ", "slow task 6 "]) {
+            *seen |= line.contains(task);
+        }
+    }
     let term =
         Command::new("kill").args(["-TERM", &child.id().to_string()]).status().expect("kill runs");
     assert!(term.success(), "SIGTERM delivered");
-    let out = child.wait_with_output().expect("fig02 exits");
-    assert_eq!(out.status.code(), Some(130), "a drained run exits 130: {out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let status = child.wait().expect("fig02 exits");
+    let stderr = reader.join().expect("stderr reader");
+    assert_eq!(status.code(), Some(130), "a drained run exits 130: {stderr}");
     assert!(stderr.contains("drain: signal received"), "drain announced: {stderr}");
     assert!(stderr.contains("asking 2 worker(s)"), "the drain asks both workers: {stderr}");
     assert!(stderr.contains("--resume to continue"), "resume instructions printed: {stderr}");

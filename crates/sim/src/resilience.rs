@@ -419,7 +419,9 @@ pub fn injected_fault_count() -> u64 {
     INJECTED.load(Ordering::Relaxed)
 }
 
-/// Fault-injection hook at task start: sleeps for `slow` directives,
+/// Fault-injection hook at task start: sleeps for `slow` directives
+/// (announcing the sleep on stderr, so a caller can tell the task is in
+/// flight),
 /// panics for matching `panic` directives, and aborts the process for
 /// `abort` directives. Called by the pool inside the `catch_unwind`
 /// boundary (which contains the panics but, by design, not the aborts).
@@ -430,6 +432,10 @@ pub fn inject_at_task_start(task: usize, attempt: u32) {
         match *fault {
             FaultSpec::Slow { task: t, ms } if t == task => {
                 INJECTED.fetch_add(1, Ordering::Relaxed);
+                // One write, so workers sharing a stderr pipe cannot split the line.
+                let line =
+                    format!("injected fault: slow task {task} for {ms} ms (attempt {attempt})\n");
+                let _ = std::io::Write::write_all(&mut std::io::stderr(), line.as_bytes());
                 std::thread::sleep(std::time::Duration::from_millis(ms));
             }
             FaultSpec::Panic { task: t, once } if t == task && (!once || attempt == 0) => {

@@ -31,25 +31,31 @@ pub struct Layout {
     regions: Vec<Region>,
     /// Cumulative starting offset of each region in the linear space.
     cumulative: Vec<u64>,
-    /// The size shared by every region but the last, when they share one
-    /// (single-region, `Chunked` and `Incremental` layouts): the region
-    /// holding an offset is then `offset / stride`, capped at the last.
-    stride: Option<u64>,
+    /// The size of every region but the last (a `Burst` layout's one
+    /// region, a `Chunked` or `Incremental` layout's chunk): the region
+    /// holding an offset is `offset / stride`, capped at the last.
+    stride: u64,
     bytes: u64,
 }
 
 impl Layout {
+    /// # Panics
+    ///
+    /// Panics unless `regions` is non-empty and every region but the last
+    /// has the first one's (non-zero) size.
     fn new(regions: Vec<Region>) -> Self {
+        let (_, init) = regions.split_last().expect("a layout maps at least one region");
+        let stride = regions[0].bytes();
+        assert!(
+            stride > 0 && init.iter().all(|r| r.bytes() == stride),
+            "every region but the last must be {stride} bytes"
+        );
         let mut cumulative = Vec::with_capacity(regions.len());
         let mut total = 0;
         for r in &regions {
             cumulative.push(total);
             total += r.bytes();
         }
-        let stride = regions.split_last().and_then(|(_, init)| {
-            let size = regions[0].bytes();
-            (size > 0 && init.iter().all(|r| r.bytes() == size)).then_some(size)
-        });
         Self { regions, cumulative, stride, bytes: total }
     }
 
@@ -66,20 +72,8 @@ impl Layout {
     #[inline]
     pub fn va_of(&self, offset: u64) -> VirtAddr {
         assert!(offset < self.bytes, "offset {offset} beyond layout ({})", self.bytes);
-        let idx = match self.stride {
-            Some(stride) => ((offset / stride) as usize).min(self.regions.len() - 1),
-            None => self.search(offset),
-        };
+        let idx = ((offset / self.stride) as usize).min(self.regions.len() - 1);
         self.regions[idx].start + (offset - self.cumulative[idx])
-    }
-
-    /// The index of the region holding `offset`, by binary search over
-    /// the regions' starting offsets.
-    fn search(&self, offset: u64) -> usize {
-        match self.cumulative.binary_search(&offset) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        }
     }
 }
 
@@ -499,9 +493,13 @@ mod tests {
     use sipt_mem::{fragment_memory, PlacementPolicy};
 
     impl Layout {
-        /// `va_of` by binary search alone, whatever the layout.
+        /// `va_of` by binary search over the regions' starting offsets:
+        /// the reference the strided lookup is compared against.
         fn searched_va(&self, offset: u64) -> VirtAddr {
-            let idx = self.search(offset);
+            let idx = match self.cumulative.binary_search(&offset) {
+                Ok(i) => i,
+                Err(i) => i - 1,
+            };
             self.regions[idx].start + (offset - self.cumulative[idx])
         }
     }
@@ -618,9 +616,9 @@ mod tests {
             .collect()
     }
 
-    /// `va_of` (strided where the layout allows) against the binary
-    /// search at every region boundary, one byte either side of it, the
-    /// last byte and `probes` random offsets.
+    /// The strided `va_of` against the binary search at every region
+    /// boundary, one byte either side of it, the last byte and `probes`
+    /// random offsets.
     fn assert_va_of_matches_search(layout: &Layout, probes: u64, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let boundaries = layout.cumulative.iter().flat_map(|&c| [c.saturating_sub(1), c, c + 1]);
@@ -633,33 +631,20 @@ mod tests {
     }
 
     proptest! {
-        /// Equal regions with a shorter (or equal) last one: strided.
+        /// Equal regions with a last one that is shorter, equal or longer
+        /// (the cap at the last region covers the longer tail).
         #[test]
         fn strided_va_of_matches_search_on_uniform_layouts(
             n in 1usize..64,
             size in 1u64..512,
-            last in 1u64..=512,
+            last in 1u64..1024,
             gap in 0u64..4,
             seed in any::<u64>(),
         ) {
             let mut pages = vec![size; n];
-            pages[n - 1] = last.min(size);
+            pages[n - 1] = last;
             let layout = Layout::new(regions_of(&pages, gap));
-            prop_assert_eq!(layout.stride, Some(pages[0] * PAGE_SIZE));
-            assert_va_of_matches_search(&layout, 64, seed);
-        }
-
-        /// Regions of random sizes: strided only if they happen to be
-        /// uniform, searched otherwise; the answers agree either way.
-        #[test]
-        fn va_of_matches_search_on_irregular_layouts(
-            pages in proptest::collection::vec(1u64..64, 1..64),
-            gap in 0u64..4,
-            seed in any::<u64>(),
-        ) {
-            let layout = Layout::new(regions_of(&pages, gap));
-            let uniform = pages[..pages.len() - 1].iter().all(|&p| p == pages[0]);
-            prop_assert_eq!(layout.stride.is_some(), uniform);
+            prop_assert_eq!(layout.stride, pages[0] * PAGE_SIZE);
             assert_va_of_matches_search(&layout, 64, seed);
         }
 
@@ -667,9 +652,23 @@ mod tests {
         #[test]
         fn single_region_layout_is_one_stride(pages in 1u64..100_000, seed in any::<u64>()) {
             let layout = Layout::new(regions_of(&[pages], 0));
-            prop_assert_eq!(layout.stride, Some(pages * PAGE_SIZE));
+            prop_assert_eq!(layout.stride, pages * PAGE_SIZE);
             assert_va_of_matches_search(&layout, 64, seed);
         }
+    }
+
+    /// A region before the last that differs from the first in size has
+    /// no strided lookup, so the layout refuses it.
+    #[test]
+    #[should_panic(expected = "every region but the last must be")]
+    fn irregular_layout_is_rejected() {
+        Layout::new(regions_of(&[4, 4, 3, 4, 1], 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "every region but the last must be")]
+    fn layout_with_a_short_first_region_is_rejected() {
+        Layout::new(regions_of(&[2, 4, 4], 0));
     }
 
     fn build_for(name: &str, instructions: u64) -> (TraceGen, AddressSpace) {
